@@ -1,11 +1,7 @@
 #include "src/core/offline.h"
 
-#include <cmath>
-
 #include "src/core/init.h"
-#include "src/core/objective.h"
 #include "src/core/updates.h"
-#include "src/matrix/ops.h"
 #include "src/util/logging.h"
 #include "src/util/parallel.h"
 
@@ -22,39 +18,21 @@ OfflineTriClusterer::OfflineTriClusterer(TriClusterConfig config)
 
 namespace {
 
-/// Expands seed labels into the per-row pull (weights, one-hot target) used
-/// by the guided update rules; rows without a usable seed get weight 0.
-void BuildSeedPull(const std::vector<Sentiment>& seeds, size_t rows,
-                   size_t k, double weight, std::vector<double>* out_weights,
-                   DenseMatrix* out_target) {
-  TRICLUST_CHECK(seeds.empty() || seeds.size() == rows);
-  out_weights->assign(rows, 0.0);
-  *out_target = DenseMatrix(rows, k, 0.0);
-  for (size_t i = 0; i < seeds.size(); ++i) {
+/// Expands seed labels into the per-row pull used by the guided update
+/// rules: weight δ and a one-hot target on every seeded row, weight 0 on
+/// the rest.
+RowPull SeedPull(const std::vector<Sentiment>& seeds, size_t rows, size_t k,
+                 double weight) {
+  TRICLUST_CHECK_EQ(seeds.size(), rows);
+  RowPull pull{std::vector<double>(rows, 0.0), DenseMatrix(rows, k, 0.0)};
+  for (size_t i = 0; i < rows; ++i) {
     if (seeds[i] == Sentiment::kUnlabeled) continue;
     const int cls = SentimentIndex(seeds[i]);
     if (cls >= static_cast<int>(k)) continue;
-    (*out_weights)[i] = weight;
-    (*out_target)(i, static_cast<size_t>(cls)) = 1.0;
+    pull.weights[i] = weight;
+    pull.target(i, static_cast<size_t>(cls)) = 1.0;
   }
-}
-
-/// δ-weighted squared distance of the seeded rows to their targets.
-double SeedLoss(const std::vector<double>& weights,
-                const DenseMatrix& target, const DenseMatrix& factor) {
-  double total = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    if (weights[i] == 0.0) continue;
-    const double* a = factor.Row(i);
-    const double* b = target.Row(i);
-    double row = 0.0;
-    for (size_t c = 0; c < factor.cols(); ++c) {
-      const double diff = a[c] - b[c];
-      row += diff * diff;
-    }
-    total += weights[i] * row;
-  }
-  return total;
+  return pull;
 }
 
 }  // namespace
@@ -76,100 +54,29 @@ TriClusterResult OfflineTriClusterer::Run(const DatasetMatrices& data,
   ScopedKernelMode kernel_scope(config_.kernel_mode);
   update::UpdateWorkspace workspace;
 
-  FactorSet f = InitializeFactors(data, sf0, config_);
-  const double eps = config_.epsilon;
-
-  // Guided mode: expand seed labels into per-row pulls for Sp and Su.
-  std::vector<double> tweet_seed_weights;
-  DenseMatrix tweet_seed_target;
-  std::vector<double> user_seed_weights;
-  DenseMatrix user_seed_target;
-  bool guide_tweets = false;
-  bool guide_users = false;
+  // Guided mode: seed labels become per-row pulls on Sp and Su.
+  RowPull tweet_pull;
+  RowPull user_pull;
+  const RowPull* sp_pull = nullptr;
+  const RowPull* su_pull = nullptr;
   if (supervision != nullptr) {
     TRICLUST_CHECK_GE(supervision->weight, 0.0);
     const size_t k = static_cast<size_t>(config_.num_clusters);
     if (!supervision->tweet_seeds.empty()) {
-      BuildSeedPull(supervision->tweet_seeds, data.num_tweets(), k,
-                    supervision->weight, &tweet_seed_weights,
-                    &tweet_seed_target);
-      guide_tweets = true;
+      tweet_pull = SeedPull(supervision->tweet_seeds, data.num_tweets(), k,
+                            supervision->weight);
+      sp_pull = &tweet_pull;
     }
     if (!supervision->user_seeds.empty()) {
-      BuildSeedPull(supervision->user_seeds, data.num_users(), k,
-                    supervision->weight, &user_seed_weights,
-                    &user_seed_target);
-      guide_users = true;
+      user_pull = SeedPull(supervision->user_seeds, data.num_users(), k,
+                           supervision->weight);
+      su_pull = &user_pull;
     }
   }
 
-  TriClusterResult result;
-  double previous_total = std::numeric_limits<double>::infinity();
-
-  auto record_loss = [&]() -> double {
-    LossComponents loss = ComputeObjective(
-        data.xp, data.xu, data.xr, data.gu, f.sp, f.su, f.sf, f.hp, f.hu,
-        config_.alpha, sf0, config_.beta);
-    if (guide_tweets) {
-      loss.guided_loss += SeedLoss(tweet_seed_weights, tweet_seed_target,
-                                   f.sp);
-    }
-    if (guide_users) {
-      loss.guided_loss += SeedLoss(user_seed_weights, user_seed_target,
-                                   f.su);
-    }
-    if (config_.track_loss) result.loss_history.push_back(loss);
-    return loss.Total();
-  };
-
-  previous_total = record_loss();
-
-  FactorSet last_finite = f;
-  for (int iter = 0; iter < config_.max_iterations; ++iter) {
-    // Algorithm 1 order: Sp, Hp, then Su/Hu, then Sf.
-    update::UpdateSp(data.xp, data.xr, f.sf, f.hp, f.su, &f.sp, eps,
-                     config_.sparsity,
-                     guide_tweets ? &tweet_seed_weights : nullptr,
-                     guide_tweets ? &tweet_seed_target : nullptr,
-                     &workspace);
-    update::UpdateHp(data.xp, f.sp, f.sf, &f.hp, eps, &workspace);
-    update::UpdateSu(data.xu, data.xr, data.gu, f.sf, f.hu, f.sp,
-                     config_.beta,
-                     guide_users ? &user_seed_weights : nullptr,
-                     guide_users ? &user_seed_target : nullptr, &f.su, eps,
-                     config_.sparsity, &workspace);
-    update::UpdateHu(data.xu, f.su, f.sf, &f.hu, eps, &workspace);
-    update::UpdateSf(data.xp, data.xu, f.sp, f.su, f.hp, f.hu, config_.alpha,
-                     sf0, &f.sf, eps, config_.sparsity, &workspace);
-
-    result.iterations = iter + 1;
-    const double total = record_loss();
-    if (!std::isfinite(total)) {
-      // Multiplicative blow-up (possible when factor scales run away, e.g.
-      // extreme configurations): restore the last finite iterate and stop.
-      TRICLUST_LOG(kWarning)
-          << "offline tri-clustering diverged at iteration " << iter
-          << "; restoring last finite factors";
-      f = std::move(last_finite);
-      if (config_.track_loss) result.loss_history.pop_back();
-      break;
-    }
-    last_finite = f;
-    const double denom = std::max(previous_total, 1e-30);
-    if (std::fabs(previous_total - total) / denom < config_.tolerance) {
-      result.converged = true;
-      previous_total = total;
-      break;
-    }
-    previous_total = total;
-  }
-
-  result.sp = std::move(f.sp);
-  result.su = std::move(f.su);
-  result.sf = std::move(f.sf);
-  result.hp = std::move(f.hp);
-  result.hu = std::move(f.hu);
-  return result;
+  return update::RunSweeps(data, sf0, config_.alpha, config_, sp_pull,
+                           su_pull, &LossComponents::guided_loss,
+                           InitializeFactors(data, sf0, config_), &workspace);
 }
 
 }  // namespace triclust

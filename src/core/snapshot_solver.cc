@@ -1,16 +1,31 @@
 #include "src/core/snapshot_solver.h"
 
 #include <algorithm>
-#include <cmath>
+#include <deque>
 #include <utility>
 
 #include "src/core/init.h"
-#include "src/core/objective.h"
 #include "src/matrix/ops.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 
 namespace triclust {
+
+namespace {
+
+/// Makes `entry` the newest element of a window history and drops the
+/// oldest beyond max(window − 1, 1): the window-aggregate snapshots
+/// t−w+1..t−1, keeping at least one so window == 1 still carries the last
+/// snapshot (a quiet day must not reset the stream to the lexicon prior).
+template <typename T>
+void PushIntoWindow(std::deque<T>* history, T entry, int window) {
+  history->push_front(std::move(entry));
+  while (static_cast<int>(history->size()) > std::max(window - 1, 1)) {
+    history->pop_back();
+  }
+}
+
+}  // namespace
 
 SnapshotSolver::SnapshotSolver(OnlineConfig config, DenseMatrix sf0)
     : config_(config), sf0_(std::move(sf0)) {
@@ -53,11 +68,9 @@ DenseMatrix SnapshotSolver::ComputeSfw(const StreamState& state) const {
 TriClusterResult SnapshotSolver::Solve(const DatasetMatrices& data,
                                        StreamState* state, SolveInfo* info,
                                        update::UpdateWorkspace* workspace) const {
-  const size_t n = data.num_tweets();
   const size_t m = data.num_users();
   const size_t k = static_cast<size_t>(config_.base.num_clusters);
   TRICLUST_CHECK_EQ(data.xp.cols(), sf0_.rows());
-  const double eps = config_.base.epsilon;
 
   // One update workspace per snapshot fit unless the caller owns one. A
   // caller-owned workspace may still hold transposes keyed to a *previous*
@@ -95,156 +108,84 @@ TriClusterResult SnapshotSolver::Solve(const DatasetMatrices& data,
       partition.new_rows.push_back(j);
     }
   }
-  {
-    size_t active_with_history = partition.evolving_rows.size();
-    partition.num_disappeared =
-        state->user_history.size() - active_with_history;
-  }
+  partition.num_disappeared =
+      state->user_history.size() - partition.evolving_rows.size();
 
   TriClusterResult result;
-  if (n == 0) {
+  if (data.num_tweets() == 0) {
     // Nothing arrived in this window: carry the feature state forward.
-    // Trim with the same max(window-1, 1) bound as the main path — the
-    // historical empty-snapshot path trimmed to window-1, which for
-    // window == 1 emptied the history and reset the stream to the lexicon
-    // prior after one quiet day.
     result.sf = sfw;
-    ++state->timestep;
-    state->sf_history.push_front(sfw);
-    while (static_cast<int>(state->sf_history.size()) >
-           std::max(config_.window - 1, 1)) {
-      state->sf_history.pop_back();
-    }
-    if (info != nullptr) {
-      info->sfw = sfw;
-      info->partition = std::move(partition);
-    }
-    return result;
-  }
-
-  // --- temporal user targets ----------------------------------------------
-  // Suw(t): decayed aggregate of each evolving user's history (normalized
-  // like Sfw); zero rows (and zero weight) for new users.
-  DenseMatrix suw(m, k, 0.0);
-  std::vector<double> temporal_weights(m, 0.0);
-  for (size_t j : partition.evolving_rows) {
-    const auto& history = state->user_history.at(data.user_ids[j]);
-    double weight = config_.tau;
-    for (const auto& row : history) {
-      TRICLUST_CHECK_EQ(row.size(), k);
-      for (size_t c = 0; c < k; ++c) suw(j, c) += weight * row[c];
-      weight *= config_.tau;
-    }
-    // Row-normalize to a distribution (same rationale as Sfw).
-    double row_sum = 0.0;
-    for (size_t c = 0; c < k; ++c) row_sum += suw(j, c);
-    if (row_sum > 0.0) {
-      for (size_t c = 0; c < k; ++c) suw(j, c) /= row_sum;
-    } else {
-      for (size_t c = 0; c < k; ++c) suw(j, c) = 1.0 / static_cast<double>(k);
-    }
-    temporal_weights[j] = config_.gamma;
-  }
-
-  // --- initialization (Algorithm 2 lines 1–2) -----------------------------
-  Rng rng(config_.base.seed + static_cast<uint64_t>(state->timestep) * 7919);
-  FactorSet f;
-  f.sf = sfw;  // line 1: Sf(t) = Sfw(t)
-  {            // strictly positive entries so every coordinate can move
-    double* p = f.sf.data();
-    for (size_t i = 0; i < f.sf.size(); ++i) {
-      p[i] = std::max(p[i], 1e-4) + rng.Uniform(0.0, 0.01);
-    }
-  }
-
-  f.sp = SpMM(data.xp, sfw);
-  f.sp.NormalizeRowsL1();
-  for (size_t i = 0; i < f.sp.size(); ++i) {
-    f.sp.data()[i] += rng.Uniform(0.01, 0.05);
-  }
-
-  f.su = SpMM(data.xu, sfw);
-  f.su.NormalizeRowsL1();
-  for (size_t i = 0; i < f.su.size(); ++i) {
-    f.su.data()[i] += rng.Uniform(0.01, 0.05);
-  }
-  // line 1: evolving users resume from their aggregate.
-  if (config_.seed_users_from_history) {
+    PushIntoWindow(&state->sf_history, sfw, config_.window);
+  } else {
+    // --- temporal user target -----------------------------------------------
+    // Suw(t): decayed aggregate of each evolving user's history (normalized
+    // like Sfw), pulled with weight γ; zero rows and weight for new users.
+    RowPull suw{std::vector<double>(m, 0.0), DenseMatrix(m, k, 0.0)};
     for (size_t j : partition.evolving_rows) {
+      const auto& history = state->user_history.at(data.user_ids[j]);
+      double weight = config_.tau;
+      for (const auto& row : history) {
+        TRICLUST_CHECK_EQ(row.size(), k);
+        for (size_t c = 0; c < k; ++c) suw.target(j, c) += weight * row[c];
+        weight *= config_.tau;
+      }
+      // Row-normalize to a distribution (same rationale as Sfw).
+      double row_sum = 0.0;
+      for (size_t c = 0; c < k; ++c) row_sum += suw.target(j, c);
       for (size_t c = 0; c < k; ++c) {
-        f.su(j, c) = std::max(suw(j, c), 1e-4) + rng.Uniform(0.0, 0.01);
+        suw.target(j, c) = row_sum > 0.0 ? suw.target(j, c) / row_sum
+                                         : 1.0 / static_cast<double>(k);
+      }
+      suw.weights[j] = config_.gamma;
+    }
+
+    // --- initialization (Algorithm 2 lines 1–2) ---------------------------
+    Rng rng(config_.base.seed + static_cast<uint64_t>(state->timestep) * 7919);
+    FactorSet f;
+    f.sf = sfw;  // line 1: Sf(t) = Sfw(t)
+    // Strictly positive entries so every coordinate can move.
+    double* sf = f.sf.data();
+    for (size_t i = 0; i < f.sf.size(); ++i) {
+      sf[i] = std::max(sf[i], 1e-4) + rng.Uniform(0.0, 0.01);
+    }
+    auto propagate = [&](const SparseMatrix& x) {
+      DenseMatrix s = SpMM(x, sfw);
+      s.NormalizeRowsL1();
+      for (size_t i = 0; i < s.size(); ++i) {
+        s.data()[i] += rng.Uniform(0.01, 0.05);
+      }
+      return s;
+    };
+    f.sp = propagate(data.xp);
+    f.su = propagate(data.xu);
+    // line 1: evolving users resume from their aggregate.
+    if (config_.seed_users_from_history) {
+      for (size_t j : partition.evolving_rows) {
+        for (size_t c = 0; c < k; ++c) {
+          f.su(j, c) =
+              std::max(suw.target(j, c), 1e-4) + rng.Uniform(0.0, 0.01);
+        }
       }
     }
-  }
-
-  f.hp = DenseMatrix::Identity(k);
-  f.hu = DenseMatrix::Identity(k);
-  for (size_t i = 0; i < f.hp.size(); ++i) {
-    f.hp.data()[i] += rng.Uniform(0.01, 0.05);
-    f.hu.data()[i] += rng.Uniform(0.01, 0.05);
-  }
-
-  // --- multiplicative loop (Algorithm 2 lines 3–8) ------------------------
-  auto record_loss = [&]() -> double {
-    const LossComponents loss = ComputeObjective(
-        data.xp, data.xu, data.xr, data.gu, f.sp, f.su, f.sf, f.hp, f.hu,
-        config_.alpha, sfw, config_.base.beta, &temporal_weights, &suw);
-    if (config_.base.track_loss) result.loss_history.push_back(loss);
-    return loss.Total();
-  };
-
-  double previous_total = record_loss();
-  FactorSet last_finite = f;
-  for (int iter = 0; iter < config_.base.max_iterations; ++iter) {
-    // Same sweep order as the offline Algorithm 1 (Sp/Hp before Su/Hu
-    // before Sf): updating Sf against the still-uninformative Sp/Su of the
-    // first iterations would corrupt the carried-over feature state.
-    update::UpdateSp(data.xp, data.xr, f.sf, f.hp, f.su, &f.sp, eps,
-                     config_.base.sparsity, nullptr, nullptr, workspace);
-    update::UpdateHp(data.xp, f.sp, f.sf, &f.hp, eps, workspace);
-    update::UpdateSu(data.xu, data.xr, data.gu, f.sf, f.hu, f.sp,
-                     config_.base.beta, &temporal_weights, &suw, &f.su, eps,
-                     config_.base.sparsity, workspace);
-    update::UpdateHu(data.xu, f.su, f.sf, &f.hu, eps, workspace);
-    update::UpdateSf(data.xp, data.xu, f.sp, f.su, f.hp, f.hu, config_.alpha,
-                     sfw, &f.sf, eps, config_.base.sparsity, workspace);
-
-    result.iterations = iter + 1;
-    const double total = record_loss();
-    if (!std::isfinite(total)) {
-      // See OfflineTriClusterer: restore the last finite iterate rather
-      // than poisoning the stream state with inf/nan factors.
-      TRICLUST_LOG(kWarning)
-          << "online tri-clustering diverged at snapshot " << state->timestep
-          << " iteration " << iter << "; restoring last finite factors";
-      f = std::move(last_finite);
-      if (config_.base.track_loss) result.loss_history.pop_back();
-      break;
+    f.hp = DenseMatrix::Identity(k);
+    f.hu = DenseMatrix::Identity(k);
+    for (size_t i = 0; i < f.hp.size(); ++i) {
+      f.hp.data()[i] += rng.Uniform(0.01, 0.05);
+      f.hu.data()[i] += rng.Uniform(0.01, 0.05);
     }
-    last_finite = f;
-    const double denom = std::max(previous_total, 1e-30);
-    if (std::fabs(previous_total - total) / denom <
-        config_.base.tolerance) {
-      result.converged = true;
-      previous_total = total;
-      break;
-    }
-    previous_total = total;
-  }
 
-  // --- roll state forward ---------------------------------------------------
-  state->sf_history.push_front(f.sf);
-  while (static_cast<int>(state->sf_history.size()) >
-         std::max(config_.window - 1, 1)) {
-    state->sf_history.pop_back();
-  }
-  for (size_t j = 0; j < m; ++j) {
-    auto& history = state->user_history[data.user_ids[j]];
-    std::vector<double> row(f.su.Row(j), f.su.Row(j) + k);
-    history.push_front(std::move(row));
-    while (static_cast<int>(history.size()) >
-           std::max(config_.window - 1, 1)) {
-      history.pop_back();
+    // --- multiplicative loop (Algorithm 2 lines 3–8) ----------------------
+    result = update::RunSweeps(data, sfw, config_.alpha, config_.base,
+                               /*sp_pull=*/nullptr, &suw,
+                               &LossComponents::temporal_user_loss,
+                               std::move(f), workspace);
+
+    // --- roll state forward -------------------------------------------------
+    PushIntoWindow(&state->sf_history, result.sf, config_.window);
+    for (size_t j = 0; j < m; ++j) {
+      const double* row = result.su.Row(j);
+      PushIntoWindow(&state->user_history[data.user_ids[j]],
+                     std::vector<double>(row, row + k), config_.window);
     }
   }
   ++state->timestep;
@@ -253,12 +194,6 @@ TriClusterResult SnapshotSolver::Solve(const DatasetMatrices& data,
     info->sfw = sfw;
     info->partition = std::move(partition);
   }
-
-  result.sp = std::move(f.sp);
-  result.su = std::move(f.su);
-  result.sf = std::move(f.sf);
-  result.hp = std::move(f.hp);
-  result.hu = std::move(f.hu);
   return result;
 }
 

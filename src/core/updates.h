@@ -3,6 +3,11 @@
 
 #include <vector>
 
+#include "src/core/config.h"
+#include "src/core/init.h"
+#include "src/core/objective.h"
+#include "src/core/result.h"
+#include "src/data/matrix_builder.h"
 #include "src/graph/user_graph.h"
 #include "src/matrix/dense_matrix.h"
 #include "src/matrix/sparse_matrix.h"
@@ -30,10 +35,10 @@ namespace update {
 /// Reusable state for the update rules: cached CSR transposes of the data
 /// matrices plus pre-sized scratch matrices for every intermediate of the
 /// multiplicative algebra. Each rule naively materializes ~10 temporaries;
-/// one workspace owned for the duration of a fit (what OfflineTriClusterer
-/// and OnlineTriClusterer do) makes every iteration after the first
-/// allocation-free and replaces the serial scatter-transpose products
-/// (SpTMM) with the row-parallel SpMM over a transpose built once.
+/// one workspace owned for the duration of a fit (what RunSweeps' callers
+/// pass in) makes every iteration after the first allocation-free and
+/// replaces the serial scatter-transpose products (SpTMM) with the
+/// row-parallel SpMM over a transpose built once.
 ///
 /// A workspace may be shared by all five rules of a fit (they run
 /// sequentially and the scratch is overwritten per call) but must not be
@@ -51,10 +56,11 @@ class UpdateWorkspace {
   const SparseMatrix& Transposed(TransposeSlot slot, const SparseMatrix& x);
 
   /// The fit's thread budget. A workspace is per-fit scratch, which makes
-  /// it the natural carrier for the per-fit width: solver entry points
-  /// (SnapshotSolver::Solve, the offline/online clusterers) install this
-  /// budget on the fitting thread for the duration of the fit, so every
-  /// kernel under the fit honors it without any process-global state.
+  /// it the natural carrier for the per-fit width: the online snapshot
+  /// solve installs this budget on the fitting thread for the duration of
+  /// the fit, so every kernel under the fit honors it without any
+  /// process-global state (the offline solve installs
+  /// TriClusterConfig::num_threads instead).
   /// Ambient (the default) inherits the caller's width — installed scope,
   /// nesting rule, or global default, in that order (see parallel.h).
   /// CampaignEngine::Advance rewrites this per batch when it splits the
@@ -126,6 +132,30 @@ void UpdateHp(const SparseMatrix& xp, const DenseMatrix& sp,
 void UpdateHu(const SparseMatrix& xu, const DenseMatrix& su,
               const DenseMatrix& sf, DenseMatrix* hu, double eps,
               UpdateWorkspace* workspace = nullptr);
+
+/// The multiplicative loop shared by offline Algorithm 1 and the online
+/// snapshot solve (Algorithm 2 lines 3–8). Starting from `factors`, each
+/// sweep applies UpdateSp, UpdateHp, UpdateSu, UpdateHu and UpdateSf in
+/// that order and then evaluates the objective (ComputeObjective against
+/// `sf_target`/`alpha`, plus the pull losses). It stops when the relative
+/// objective change drops below `config.tolerance` (converged), after
+/// `config.max_iterations` sweeps, or when the objective turns non-finite —
+/// then the diverged sweep is discarded, its loss entry dropped, and the
+/// last finite iterate returned. `iterations` counts the discarded sweep.
+///
+/// `sp_pull`/`su_pull` optionally add a per-row pull on Sp/Su (nullptr =
+/// none). The Sp pull's loss is reported in `guided_loss`; the Su pull's in
+/// the LossComponents field `su_pull_loss` names — `guided_loss` for seed
+/// labels, `temporal_user_loss` for the online history pull. Reads
+/// epsilon, sparsity, beta, tolerance, max_iterations and track_loss from
+/// `config`; runs under whatever thread budget and kernel mode the caller
+/// installed. Returns the factors together with the loss history.
+TriClusterResult RunSweeps(const DatasetMatrices& data,
+                           const DenseMatrix& sf_target, double alpha,
+                           const TriClusterConfig& config,
+                           const RowPull* sp_pull, const RowPull* su_pull,
+                           double LossComponents::*su_pull_loss,
+                           FactorSet factors, UpdateWorkspace* workspace);
 
 }  // namespace update
 }  // namespace triclust

@@ -101,7 +101,8 @@ template <typename T>
 class [[nodiscard]] Result {
  public:
   /// Implicit construction from a value (the common success path).
-  Result(T value) : value_(std::move(value)) {}  // NOLINT(runtime/explicit)
+  Result(T value)  // NOLINT(runtime/explicit)
+      : value_(std::move(value)), status_(Status::OK()) {}
 
   /// Implicit construction from an error status. Must not be OK.
   Result(Status status) : status_(std::move(status)) {}  // NOLINT

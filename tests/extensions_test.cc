@@ -2,12 +2,16 @@
 /// guided (semi-supervised) regularization, L1 sparsity regularization, the
 /// extra clustering metrics, and the lexicon-vote baseline.
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "src/baselines/lexicon_vote.h"
+#include "src/core/init.h"
+#include "src/core/objective.h"
 #include "src/core/offline.h"
+#include "src/core/updates.h"
 #include "src/eval/metrics.h"
 #include "src/eval/protocol.h"
 #include "src/matrix/ops.h"
@@ -121,6 +125,131 @@ TEST(GuidedTest, EmptySupervisionEqualsUnsupervised) {
   const TriClusterResult b = OfflineTriClusterer(config).Run(p.data, p.sf0);
   EXPECT_EQ(a.sp, b.sp);
   EXPECT_DOUBLE_EQ(a.loss_history.back().guided_loss, 0.0);
+}
+
+/// Per-row seed pull spelled out by hand: weight δ and a one-hot target on
+/// every seeded row whose class fits in k clusters.
+struct ReferencePull {
+  std::vector<double> weights;
+  DenseMatrix target;
+};
+
+ReferencePull ReferenceSeedPull(const std::vector<Sentiment>& seeds,
+                                size_t k, double weight) {
+  ReferencePull pull{std::vector<double>(seeds.size(), 0.0),
+                     DenseMatrix(seeds.size(), k, 0.0)};
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    if (seeds[i] == X) continue;
+    const int cls = SentimentIndex(seeds[i]);
+    if (cls >= static_cast<int>(k)) continue;
+    pull.weights[i] = weight;
+    pull.target(i, static_cast<size_t>(cls)) = 1.0;
+  }
+  return pull;
+}
+
+double ReferenceSeedLoss(const ReferencePull& pull, const DenseMatrix& s) {
+  double total = 0.0;
+  for (size_t i = 0; i < pull.weights.size(); ++i) {
+    if (pull.weights[i] == 0.0) continue;
+    double row = 0.0;
+    for (size_t c = 0; c < s.cols(); ++c) {
+      const double diff = s(i, c) - pull.target(i, c);
+      row += diff * diff;
+    }
+    total += pull.weights[i] * row;
+  }
+  return total;
+}
+
+bool LossBitEqual(const LossComponents& a, const LossComponents& b) {
+  using testing_util::BitEqual;
+  return BitEqual(a.xp_loss, b.xp_loss) && BitEqual(a.xu_loss, b.xu_loss) &&
+         BitEqual(a.xr_loss, b.xr_loss) &&
+         BitEqual(a.lexicon_loss, b.lexicon_loss) &&
+         BitEqual(a.graph_loss, b.graph_loss) &&
+         BitEqual(a.temporal_user_loss, b.temporal_user_loss) &&
+         BitEqual(a.guided_loss, b.guided_loss);
+}
+
+/// A guided fit with tweet and user seeds is bitwise equal to Algorithm 1
+/// written out from the public update rules: the five updates in order,
+/// the objective plus both seed losses in guided_loss, and the relative
+/// tolerance stop.
+TEST(GuidedTest, GuidedFitMatchesReferenceLoopBitwise) {
+  using testing_util::BitEqual;
+  const auto p = MakeSmallProblem();
+  TriClusterConfig config;
+  config.max_iterations = 100;
+  config.tolerance = 1e-4;
+  config.track_loss = true;
+  Supervision supervision;
+  supervision.tweet_seeds = SampleSeedLabels(p.data.tweet_labels, 0.2, 3);
+  supervision.user_seeds = SampleSeedLabels(p.data.user_labels, 0.3, 5);
+  supervision.weight = 2.0;
+  const TriClusterResult fit =
+      OfflineTriClusterer(config).Run(p.data, p.sf0, &supervision);
+
+  const size_t k = static_cast<size_t>(config.num_clusters);
+  const ReferencePull tweets =
+      ReferenceSeedPull(supervision.tweet_seeds, k, supervision.weight);
+  const ReferencePull users =
+      ReferenceSeedPull(supervision.user_seeds, k, supervision.weight);
+  const DatasetMatrices& d = p.data;
+  ScopedThreadBudget budget{ThreadBudget(config.num_threads)};
+  update::UpdateWorkspace ws;
+  FactorSet f = InitializeFactors(d, p.sf0, config);
+  std::vector<LossComponents> history;
+  auto record = [&]() -> double {
+    LossComponents loss =
+        ComputeObjective(d.xp, d.xu, d.xr, d.gu, f.sp, f.su, f.sf, f.hp,
+                         f.hu, config.alpha, p.sf0, config.beta);
+    loss.guided_loss += ReferenceSeedLoss(tweets, f.sp);
+    loss.guided_loss += ReferenceSeedLoss(users, f.su);
+    history.push_back(loss);
+    return loss.Total();
+  };
+  const double eps = config.epsilon;
+  double previous = record();
+  int iterations = 0;
+  bool converged = false;
+  for (int iter = 0; iter < config.max_iterations; ++iter) {
+    update::UpdateSp(d.xp, d.xr, f.sf, f.hp, f.su, &f.sp, eps,
+                     config.sparsity, &tweets.weights, &tweets.target, &ws);
+    update::UpdateHp(d.xp, f.sp, f.sf, &f.hp, eps, &ws);
+    update::UpdateSu(d.xu, d.xr, d.gu, f.sf, f.hu, f.sp, config.beta,
+                     &users.weights, &users.target, &f.su, eps,
+                     config.sparsity, &ws);
+    update::UpdateHu(d.xu, f.su, f.sf, &f.hu, eps, &ws);
+    update::UpdateSf(d.xp, d.xu, f.sp, f.su, f.hp, f.hu, config.alpha,
+                     p.sf0, &f.sf, eps, config.sparsity, &ws);
+    iterations = iter + 1;
+    const double total = record();
+    ASSERT_TRUE(std::isfinite(total));
+    if (std::fabs(previous - total) / std::max(previous, 1e-30) <
+        config.tolerance) {
+      converged = true;
+      break;
+    }
+    previous = total;
+  }
+
+  // The tolerance stop fires well before the cap, so both stop paths of
+  // the loop's bookkeeping are exercised.
+  ASSERT_TRUE(converged);
+  EXPECT_EQ(fit.iterations, iterations);
+  EXPECT_EQ(fit.converged, converged);
+  EXPECT_TRUE(BitEqual(fit.sp, f.sp));
+  EXPECT_TRUE(BitEqual(fit.su, f.su));
+  EXPECT_TRUE(BitEqual(fit.sf, f.sf));
+  EXPECT_TRUE(BitEqual(fit.hp, f.hp));
+  EXPECT_TRUE(BitEqual(fit.hu, f.hu));
+  ASSERT_EQ(fit.loss_history.size(), history.size());
+  for (size_t i = 0; i < history.size(); ++i) {
+    EXPECT_TRUE(LossBitEqual(fit.loss_history[i], history[i]))
+        << "loss entry " << i;
+  }
+  EXPECT_GT(history.back().guided_loss, 0.0);
 }
 
 // --- sparsity regularization ---------------------------------------------------

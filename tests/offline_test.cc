@@ -1,5 +1,7 @@
 #include "src/core/offline.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "src/eval/metrics.h"
@@ -170,6 +172,46 @@ TEST(OfflineTest, TrackLossOffKeepsHistoryEmpty) {
   const TriClusterResult r = OfflineTriClusterer(config).Run(p.data, p.sf0);
   EXPECT_TRUE(r.loss_history.empty());
   EXPECT_EQ(r.iterations, 5);
+}
+
+/// One Xp entry of 1e154 leaves the initial objective finite (≈1e308) but
+/// overflows it a few sweeps in, once the fitted factors have grown. The
+/// fit must stop there, drop the diverged sweep's loss, and hand back the
+/// last finite iterate — the factors of the same fit capped one sweep
+/// earlier.
+TEST(OfflineTest, DivergenceRestoresLastFiniteIterate) {
+  using testing_util::BitEqual;
+  const auto p = MakeSmallProblem();
+  DatasetMatrices data = p.data;
+  data.xp = testing_util::WithFirstEntry(p.data.xp, 1e154);
+  TriClusterConfig config;
+  config.max_iterations = 200;
+  config.tolerance = 0.0;
+  const TriClusterResult diverged =
+      OfflineTriClusterer(config).Run(data, p.sf0);
+  ASSERT_GT(diverged.iterations, 1);
+  ASSERT_LT(diverged.iterations, config.max_iterations);
+  EXPECT_FALSE(diverged.converged);
+  // The initial entry plus one per kept sweep; none for the diverged one.
+  ASSERT_EQ(diverged.loss_history.size(),
+            static_cast<size_t>(diverged.iterations));
+  for (const LossComponents& loss : diverged.loss_history) {
+    EXPECT_TRUE(std::isfinite(loss.Total()));
+  }
+
+  config.max_iterations = diverged.iterations - 1;
+  const TriClusterResult capped = OfflineTriClusterer(config).Run(data, p.sf0);
+  EXPECT_EQ(capped.iterations, diverged.iterations - 1);
+  EXPECT_TRUE(BitEqual(diverged.sp, capped.sp));
+  EXPECT_TRUE(BitEqual(diverged.su, capped.su));
+  EXPECT_TRUE(BitEqual(diverged.sf, capped.sf));
+  EXPECT_TRUE(BitEqual(diverged.hp, capped.hp));
+  EXPECT_TRUE(BitEqual(diverged.hu, capped.hu));
+  ASSERT_EQ(capped.loss_history.size(), diverged.loss_history.size());
+  for (size_t i = 0; i < capped.loss_history.size(); ++i) {
+    EXPECT_TRUE(BitEqual(diverged.loss_history[i].Total(),
+                         capped.loss_history[i].Total()));
+  }
 }
 
 /// Ablation property: removing the Xr coupling (the term the paper adds over

@@ -1,10 +1,13 @@
 #include "src/core/online.h"
 
+#include <cmath>
+#include <sstream>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
 
 #include "src/core/offline.h"
+#include "src/core/snapshot_solver.h"
 #include "src/data/snapshots.h"
 #include "src/eval/metrics.h"
 #include "src/matrix/ops.h"
@@ -240,6 +243,70 @@ TEST(OnlineTest, WindowThreeAggregatesTwoSnapshots) {
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_NEAR(got.data()[i], expected.data()[i], 1e-9);
   }
+}
+
+/// The snapshot solver's divergence branch: one Xp entry of 1e154 in day 1
+/// overflows the objective a few sweeps in. The solve must stop there, drop
+/// the diverged sweep's loss, return the last finite iterate — the factors
+/// of the same solve capped one sweep earlier — and roll the stream state
+/// forward from those restored factors.
+TEST(OnlineTest, DivergenceRestoresLastFiniteIterateAndRollsForward) {
+  using testing_util::BitEqual;
+  const auto f = MakeFixture();
+  const Corpus& corpus = f.problem.dataset.corpus;
+  OnlineConfig config = FastOnlineConfig();
+  config.base.max_iterations = 200;
+  config.base.tolerance = 0.0;
+
+  StreamState state;
+  (void)SnapshotSolver(config, f.problem.sf0)
+      .Solve(f.problem.builder.Build(corpus, f.snapshots[0].tweet_ids, 0),
+             &state);
+  DatasetMatrices day1 =
+      f.problem.builder.Build(corpus, f.snapshots[1].tweet_ids, 1);
+  day1.xp = testing_util::WithFirstEntry(day1.xp, 1e154);
+
+  StreamState diverged_state = state;
+  const TriClusterResult diverged =
+      SnapshotSolver(config, f.problem.sf0).Solve(day1, &diverged_state);
+  ASSERT_GT(diverged.iterations, 1);
+  ASSERT_LT(diverged.iterations, config.base.max_iterations);
+  EXPECT_FALSE(diverged.converged);
+  ASSERT_EQ(diverged.loss_history.size(),
+            static_cast<size_t>(diverged.iterations));
+  for (const LossComponents& loss : diverged.loss_history) {
+    EXPECT_TRUE(std::isfinite(loss.Total()));
+  }
+
+  config.base.max_iterations = diverged.iterations - 1;
+  StreamState capped_state = state;
+  const TriClusterResult capped =
+      SnapshotSolver(config, f.problem.sf0).Solve(day1, &capped_state);
+  EXPECT_EQ(capped.iterations, diverged.iterations - 1);
+  EXPECT_TRUE(BitEqual(diverged.sp, capped.sp));
+  EXPECT_TRUE(BitEqual(diverged.su, capped.su));
+  EXPECT_TRUE(BitEqual(diverged.sf, capped.sf));
+  EXPECT_TRUE(BitEqual(diverged.hp, capped.hp));
+  EXPECT_TRUE(BitEqual(diverged.hu, capped.hu));
+
+  // The state rolled forward from the restored factors.
+  EXPECT_EQ(diverged_state.timestep, 2);
+  ASSERT_FALSE(diverged_state.sf_history.empty());
+  EXPECT_TRUE(BitEqual(diverged_state.sf_history.front(), diverged.sf));
+  const size_t k = diverged.su.cols();
+  for (size_t j = 0; j < day1.num_users(); ++j) {
+    const std::vector<double>& row =
+        diverged_state.user_history.at(day1.user_ids[j]).front();
+    ASSERT_EQ(row.size(), k);
+    for (size_t c = 0; c < k; ++c) {
+      EXPECT_TRUE(BitEqual(row[c], diverged.su(j, c)));
+    }
+  }
+  std::ostringstream diverged_bytes;
+  std::ostringstream capped_bytes;
+  ASSERT_TRUE(diverged_state.Write(&diverged_bytes).ok());
+  ASSERT_TRUE(capped_state.Write(&capped_bytes).ok());
+  EXPECT_EQ(diverged_bytes.str(), capped_bytes.str());
 }
 
 TEST(OnlineTest, RejectsMismatchedFeatureSpace) {

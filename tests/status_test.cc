@@ -48,6 +48,7 @@ TEST(StatusCodeTest, NamesAreStable) {
 TEST(ResultTest, HoldsValue) {
   Result<int> r = 42;
   ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r.status().ok());
   EXPECT_EQ(r.value(), 42);
   EXPECT_EQ(r.ValueOr(-1), 42);
 }

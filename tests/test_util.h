@@ -1,6 +1,7 @@
 #ifndef TRICLUST_TESTS_TEST_UTIL_H_
 #define TRICLUST_TESTS_TEST_UTIL_H_
 
+#include <cstring>
 #include <vector>
 
 #include "src/data/matrix_builder.h"
@@ -74,6 +75,30 @@ inline SmallProblem MakeSmallProblem(uint64_t seed = 5, int k = 3,
       CorruptLexicon(p.dataset.true_lexicon, lexicon_coverage, 0.02, seed);
   p.sf0 = lexicon.BuildSf0(p.builder.vocabulary(), k);
   return p;
+}
+
+/// Bitwise equality of two doubles (NaN payloads and signed zeros count).
+inline bool BitEqual(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Bitwise equality of two dense matrices, shapes included.
+inline bool BitEqual(const DenseMatrix& a, const DenseMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Copy of `x` whose first stored entry is replaced by `value`.
+inline SparseMatrix WithFirstEntry(const SparseMatrix& x, double value) {
+  SparseMatrix::Builder builder(x.rows(), x.cols());
+  bool first = true;
+  for (size_t i = 0; i < x.rows(); ++i) {
+    for (size_t p = x.row_ptr()[i]; p < x.row_ptr()[i + 1]; ++p) {
+      builder.Add(i, x.col_idx()[p], first ? value : x.values()[p]);
+      first = false;
+    }
+  }
+  return builder.Build();
 }
 
 }  // namespace testing_util
