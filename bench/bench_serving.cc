@@ -1,11 +1,8 @@
 /// Serving-layer throughput: N concurrent campaigns advanced day by day
-/// through CampaignEngine, swept over campaigns × engine threads × per-fit
-/// budget mode. With the hierarchical scheduler each sharded fit receives
-/// its slice of the pool (threads / ready fits, remainder spilled), so a
-/// *few*-campaign fleet keeps the whole machine busy: the budget sweep
-/// reports the speedup of the hierarchical split over the historical
-/// campaign-only sharding (per_fit_threads = 1). Per-campaign results are
-/// bit-identical at every setting (width-invariant kernels).
+/// through CampaignEngine, swept over campaigns × engine threads. The
+/// engine shards each Advance() batch's fits across its threads and runs
+/// every fit's kernels at width 1 (campaign-tier sharding). Per-campaign
+/// results are bit-identical at every setting (width-invariant kernels).
 ///
 /// Also reports the incremental-ingestion path in isolation: Append+Emit
 /// versus re-running MatrixBuilder::Build per snapshot.
@@ -64,13 +61,10 @@ OnlineConfig ServingConfig(const bench_flags::Flags& flags) {
 }
 
 /// Streams every campaign through one engine; returns elapsed seconds.
-/// `per_fit_threads` = 1 reproduces the historical campaign-only sharding,
-/// 0 enables the hierarchical per-fit budget split.
 double RunFleet(std::vector<CampaignData>& campaigns, int num_threads,
-                int per_fit_threads, const bench_flags::Flags& flags) {
+                const bench_flags::Flags& flags) {
   serving::CampaignEngine::Options options;
   options.num_threads = num_threads;
-  options.per_fit_threads = per_fit_threads;
   serving::CampaignEngine engine(options);
   for (CampaignData& c : campaigns) {
     engine.AddCampaign("campaign-" + std::to_string(engine.num_campaigns()),
@@ -94,34 +88,12 @@ double RunFleet(std::vector<CampaignData>& campaigns, int num_threads,
   return watch.ElapsedSeconds();
 }
 
-/// Higher-volume campaign for the budget sweep: ≈1k-row snapshot matrices
-/// give the kernel tier real row ranges to split, so the sweep measures
-/// the hierarchical schedule rather than pool dispatch overhead on
-/// toy-sized fits.
-CampaignData MakeLargeCampaignData(uint64_t seed) {
-  SyntheticConfig config = Prop30LikeConfig(seed);
-  config.num_days = 4;
-  config.base_tweets_per_day = 1000.0;
-  config.num_users = 1500;
-  config.burst_days = {};
-  CampaignData c;
-  c.dataset = GenerateSynthetic(config);
-  c.days = SplitByDay(c.dataset.corpus);
-  c.builder.Fit(c.dataset.corpus);
-  const SentimentLexicon lexicon =
-      CorruptLexicon(c.dataset.true_lexicon, 0.6, 0.05, 99);
-  c.sf0 = lexicon.BuildSf0(c.builder.vocabulary(), 3);
-  c.total_tweets = c.dataset.corpus.num_tweets();
-  return c;
-}
-
-std::vector<CampaignData> MakeFleet(size_t num_campaigns, bool large,
+std::vector<CampaignData> MakeFleet(size_t num_campaigns,
                                     size_t* total_tweets) {
   std::vector<CampaignData> campaigns;
   *total_tweets = 0;
   for (size_t i = 0; i < num_campaigns; ++i) {
-    campaigns.push_back(large ? MakeLargeCampaignData(/*seed=*/42 + i)
-                              : MakeCampaignData(/*seed=*/42 + i));
+    campaigns.push_back(MakeCampaignData(/*seed=*/42 + i));
     *total_tweets += campaigns.back().total_tweets;
   }
   return campaigns;
@@ -130,8 +102,8 @@ std::vector<CampaignData> MakeFleet(size_t num_campaigns, bool large,
 void RunThroughputSweep(const bench_flags::Flags& flags,
                         bench_flags::Reporter* reporter) {
   bench_util::PrintHeader(
-      "Serving throughput: campaigns x engine threads (hierarchical "
-      "per-fit budgets)");
+      "Serving throughput: campaigns x engine threads (campaign-tier "
+      "sharding)");
 
   const unsigned hw = std::thread::hardware_concurrency();
   std::vector<int> thread_counts = {1, 2, 4};
@@ -140,7 +112,7 @@ void RunThroughputSweep(const bench_flags::Flags& flags,
   for (const size_t num_campaigns : {2, 4, 8}) {
     size_t total_tweets = 0;
     std::vector<CampaignData> campaigns =
-        MakeFleet(num_campaigns, /*large=*/false, &total_tweets);
+        MakeFleet(num_campaigns, &total_tweets);
 
     TableWriter table(std::to_string(num_campaigns) +
                       " campaigns, 6 days each, " +
@@ -150,8 +122,7 @@ void RunThroughputSweep(const bench_flags::Flags& flags,
         {"threads", "time (s)", "tweets/s", "speedup vs 1 thread"});
     double serial_seconds = 0.0;
     for (const int threads : thread_counts) {
-      const double seconds =
-          RunFleet(campaigns, threads, /*per_fit_threads=*/0, flags);
+      const double seconds = RunFleet(campaigns, threads, flags);
       if (threads == 1) serial_seconds = seconds;
       table.AddRow({std::to_string(threads), TableWriter::Num(seconds, 3),
                     TableWriter::Num(total_tweets / seconds, 0),
@@ -166,62 +137,6 @@ void RunThroughputSweep(const bench_flags::Flags& flags,
     table.Print(std::cout);
   }
   std::cout << "Hardware concurrency on this machine: " << hw << "\n";
-}
-
-/// The few-campaign gap the hierarchical scheduler closes: with fewer
-/// ready campaigns than threads, campaign-only sharding (per-fit budget
-/// pinned to 1, the pre-budget engine behavior) strands the rest of the
-/// pool; the auto split hands each fit threads/ready and should win
-/// clearly at 2 campaigns on ≥ 8 threads.
-void RunBudgetSweep(const bench_flags::Flags& flags,
-                    bench_flags::Reporter* reporter) {
-  bench_util::PrintHeader(
-      "Per-fit budget split: Advance() throughput, campaign-only sharding "
-      "vs hierarchical budgets");
-
-  // 4 and 8 always run — even on smaller machines, where the budgets
-  // oversubscribe gracefully — so the artifact JSON carries the same
-  // configuration points on every host; the full machine is added on top.
-  const int hw =
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  std::vector<int> thread_counts = {4, 8};
-  if (std::find(thread_counts.begin(), thread_counts.end(), hw) ==
-      thread_counts.end()) {
-    thread_counts.push_back(hw);
-  }
-
-  for (const size_t num_campaigns : {1, 2, 4}) {
-    size_t total_tweets = 0;
-    std::vector<CampaignData> campaigns =
-        MakeFleet(num_campaigns, /*large=*/true, &total_tweets);
-
-    TableWriter table(
-        std::to_string(num_campaigns) + " campaign(s) x ~1k-row snapshots, " +
-        std::to_string(flags.ScaledIters(25)) +
-        " iterations/snapshot; baseline pins every fit to 1 thread");
-    table.SetHeader({"threads", "campaign-only (s)", "hierarchical (s)",
-                     "tweets/s (hier)", "speedup"});
-    for (const int threads : thread_counts) {
-      const double baseline_seconds =
-          RunFleet(campaigns, threads, /*per_fit_threads=*/1, flags);
-      const double split_seconds =
-          RunFleet(campaigns, threads, /*per_fit_threads=*/0, flags);
-      const double speedup = baseline_seconds / split_seconds;
-      table.AddRow({std::to_string(threads),
-                    TableWriter::Num(baseline_seconds, 3),
-                    TableWriter::Num(split_seconds, 3),
-                    TableWriter::Num(total_tweets / split_seconds, 0),
-                    TableWriter::Num(speedup, 2)});
-      reporter->Add("serving/budget_split/campaigns:" +
-                        std::to_string(num_campaigns) +
-                        "/threads:" + std::to_string(threads),
-                    split_seconds * 1e3,
-                    {{"tweets_per_second", total_tweets / split_seconds},
-                     {"campaign_only_ms", baseline_seconds * 1e3},
-                     {"speedup_vs_campaign_only", speedup}});
-    }
-    table.Print(std::cout);
-  }
 }
 
 void RunIngestionBench(bench_flags::Reporter* reporter) {
@@ -278,7 +193,6 @@ int main(int argc, char** argv) {
       [](triclust::bench_flags::Reporter& reporter,
          const triclust::bench_flags::Flags& flags) {
         triclust::RunThroughputSweep(flags, &reporter);
-        triclust::RunBudgetSweep(flags, &reporter);
         triclust::RunIngestionBench(&reporter);
       });
 }

@@ -52,6 +52,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -118,6 +119,17 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       const char* v = next();
       return v != nullptr && ParseSizeT(v, out);
     };
+    // Flags stored as int reject values past INT_MAX instead of narrowing
+    // them (3000000000 would wrap negative, 4294967296 to 0).
+    auto parse_int = [&](int* out) {
+      size_t value = 0;
+      if (!parse_size(&value) ||
+          value > static_cast<size_t>(std::numeric_limits<int>::max())) {
+        return false;
+      }
+      *out = static_cast<int>(value);
+      return true;
+    };
     auto parse_double = [&](double* out) {
       const char* v = next();
       return v != nullptr && ParseDouble(v, out);
@@ -131,13 +143,9 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
         return false;
       }
     } else if (arg == "--iters") {
-      size_t iters = 0;
-      if (!parse_size(&iters) || iters == 0) return false;
-      options->iters = static_cast<int>(iters);
+      if (!parse_int(&options->iters) || options->iters == 0) return false;
     } else if (arg == "--threads") {
-      size_t threads = 0;
-      if (!parse_size(&threads)) return false;
-      options->threads = static_cast<int>(threads);
+      if (!parse_int(&options->threads)) return false;
     } else if (arg == "--day-interval-ms") {
       if (!parse_double(&options->day_interval_ms) ||
           options->day_interval_ms < 0) {
@@ -150,9 +158,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
     } else if (arg == "--deadline-ms") {
       if (!parse_double(&options->deadline_ms)) return false;
     } else if (arg == "--max-days") {
-      size_t days = 0;
-      if (!parse_size(&days)) return false;
-      options->max_days = static_cast<int>(days);
+      if (!parse_int(&options->max_days)) return false;
     } else if (arg == "--store") {
       const char* v = next();
       if (v == nullptr) return false;

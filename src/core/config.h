@@ -44,8 +44,7 @@ struct TriClusterConfig {
   /// loss reductions are bit-identical at EVERY setting, so this knob
   /// never changes results. The clusterers install it as a thread-local
   /// ThreadBudget for the fit's duration — concurrent fits in one process
-  /// may each use a different value (CampaignEngine relies on this to
-  /// split its pool across campaigns).
+  /// may each use a different value.
   int num_threads = 1;
   /// Kernel body selection for this fit (src/matrix/kernel_dispatch.h).
   /// kAuto keeps the bit-identical tiers (fixed-k unrolls + bit-exact

@@ -89,8 +89,8 @@ TriClusterResult SnapshotSolver::Solve(const DatasetMatrices& data,
   // The workspace carries the fit's thread budget (see updates.h): install
   // it on this thread for the whole solve so every kernel below honors it.
   // Ambient budgets (the default) make this a no-op and the fit inherits
-  // the caller's width. Thread-local, so concurrent Solve() calls with
-  // different budgets never interfere.
+  // the caller's width (its installed budget, else 1). Thread-local, so
+  // concurrent Solve() calls with different budgets never interfere.
   ScopedThreadBudget fit_budget(workspace->budget);
   // Same scoping for the kernel-body selection (kernel_dispatch.h): pool
   // workers execute whatever this thread selects, so installing it here

@@ -43,10 +43,10 @@ struct UserPartition {
 /// caller's workspace (src/core/updates.h) on the fitting thread for the
 /// duration of the solve; an ambient budget (or no workspace) inherits the
 /// caller's width. OnlineTriClusterer sets its workspace budget from
-/// config.base.num_threads, while CampaignEngine::Advance splits its pool
-/// across the batch's ready fits and hands each campaign's workspace its
-/// slice — kernels are bit-identical at every width, so results never
-/// depend on the split (see parallel.h).
+/// config.base.num_threads, while CampaignEngine::Advance pins every
+/// campaign's workspace to width 1 and shards the fits across its pool —
+/// kernels are bit-identical at every width, so results never depend on
+/// the budget (see parallel.h).
 class SnapshotSolver {
  public:
   /// `sf0` is the l×k lexicon prior, used as the feature target for the

@@ -61,10 +61,9 @@ class UpdateWorkspace {
   /// the fit, so every kernel under the fit honors it without any
   /// process-global state (the offline solve installs
   /// TriClusterConfig::num_threads instead).
-  /// Ambient (the default) inherits the caller's width — installed scope,
-  /// nesting rule, or global default, in that order (see parallel.h).
-  /// CampaignEngine::Advance rewrites this per batch when it splits the
-  /// pool across ready fits. Results are bit-identical at every setting.
+  /// Ambient (the default) inherits the caller's width — its installed
+  /// budget, else 1 (see parallel.h). CampaignEngine::Advance pins it to 1
+  /// for every sharded fit. Results are bit-identical at every setting.
   ThreadBudget budget;
 
   /// Forgets the cached transposes (scratch matrices are kept). Needed

@@ -47,7 +47,6 @@ const char* CampaignHealthName(CampaignHealth health) {
 
 CampaignEngine::CampaignEngine(Options options) : options_(options) {
   TRICLUST_CHECK_GE(options_.num_threads, 0);
-  TRICLUST_CHECK_GE(options_.per_fit_threads, 0);
 }
 
 int CampaignEngine::effective_num_threads() const {
@@ -303,22 +302,11 @@ std::vector<CampaignEngine::SnapshotReport> CampaignEngine::Advance(
   std::vector<SnapshotReport> reports(targets.size());
 
   const Stopwatch advance_clock;
-  // Two-level split (see class comment): the campaign tier shards the
-  // batch across the pool under the engine budget, and each fit gets its
-  // slice of that budget — recomputed per batch from the fits actually
-  // ready — as a per-fit kernel budget carried by its workspace. Both
-  // tiers' budgets are thread-local; results are bit-identical for any
-  // split because the kernels are width-invariant.
-  const int pool_threads = effective_num_threads();
-  const std::vector<int> fit_budgets =
-      options_.per_fit_threads > 0
-          ? std::vector<int>(targets.size(), options_.per_fit_threads)
-          : SplitThreadBudget(pool_threads, targets.size());
-  // Brace-initialized on purpose: with parentheses this whole line is a
-  // *function declaration* (most vexing parse) and no budget is installed
-  // — the campaign tier then silently runs at the ambient width.
+  // Campaign-tier sharding (see class comment). Brace-initialized on
+  // purpose: with parentheses and a named argument the line declares a
+  // function (most vexing parse) and no budget is installed.
   // -Wvexing-parse guards the regression.
-  ScopedThreadBudget campaign_tier{ThreadBudget(pool_threads)};
+  ScopedThreadBudget campaign_tier{ThreadBudget(effective_num_threads())};
   ParallelFor(0, targets.size(), /*grain=*/1, [&](size_t lo, size_t hi) {
     for (size_t t = lo; t < hi; ++t) {
       SnapshotReport& report = reports[t];
@@ -328,7 +316,10 @@ std::vector<CampaignEngine::SnapshotReport> CampaignEngine::Advance(
         continue;  // deferred: the queue keeps accumulating
       }
       Campaign& c = *campaigns_[targets[t]];
-      c.workspace.budget = ThreadBudget(fit_budgets[t]);
+      // Width 1 for the fit's kernels. With one ready fit ParallelFor runs
+      // this body inline under the campaign-tier budget, and an ambient
+      // workspace budget would hand the lone fit the whole pool.
+      c.workspace.budget = ThreadBudget::Serial();
       const Stopwatch fit_clock;
       report.label_day = c.pending_label_day;
       // Rollback point: a rejected fit must not leave the half-advanced

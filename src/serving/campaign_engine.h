@@ -30,22 +30,17 @@ namespace serving {
 /// across the process thread pool (the fits are independent given each
 /// campaign's window aggregates, so they parallelize without coordination).
 ///
-/// Two-level parallelism: Advance() splits its thread pool hierarchically.
-/// The campaign tier shards the batch's ready fits across the pool; the
-/// kernel tier hands every sharded fit a per-fit ThreadBudget — its slice
-/// of `num_threads / ready_fits` with the remainder spilled one thread at
-/// a time onto the first fits — so each fit also runs its kernels
-/// row-parallel inside its slice. A 2-campaign fleet on 16 cores therefore
-/// uses all 16 (8 per fit) instead of idling 14, and a 1-campaign batch
-/// gets the whole machine. Budgets are recomputed for every Advance()
-/// batch from the fits actually ready in it.
+/// Parallelism is campaign-tier only: Advance() shards the batch's ready
+/// fits across `num_threads` pool threads, and every fit runs its kernels
+/// at width 1. Splitting the pool into per-fit kernel budgets was measured
+/// and never beat this at the benched shapes (see ROADMAP item 4).
 ///
 /// Determinism: the kernels are bit-identical at every width (fixed-grain
 /// reductions, disjoint-row partitions — see parallel.h), so each
 /// campaign's results are bit-identical to a standalone
 /// OnlineTriClusterer with num_threads = 1 processing the same snapshots —
 /// regardless of how many campaigns advanced together, the engine's thread
-/// budget, how it was split across fits, or which pool thread ran a fit.
+/// budget, or which pool thread ran a fit.
 ///
 /// Deadlines: Advance() accepts a soft deadline. A campaign whose fit has
 /// not *started* by the deadline is skipped — its pending tweets stay
@@ -63,18 +58,10 @@ namespace serving {
 /// process run safely concurrently with Advance(), each under its own
 /// budget.
 struct EngineOptions {
-  /// Total thread budget of one Advance() batch — the pool split across
-  /// that batch's ready fits: 0 = hardware concurrency, 1 = fit campaigns
-  /// sequentially with serial kernels.
+  /// How many ready fits of one Advance() batch run concurrently, one pool
+  /// thread each: 0 = hardware concurrency, 1 = fit campaigns
+  /// sequentially. Every fit's kernels run at width 1 either way.
   int num_threads = 0;
-  /// Per-fit kernel budget override. 0 (default) = split `num_threads`
-  /// evenly across the batch's ready fits with remainder spill (see the
-  /// class comment). n ≥ 1 forces every fit's kernel budget to n — n = 1
-  /// reproduces the historical cross-campaign-only sharding exactly, and
-  /// larger values may deliberately oversubscribe the pool (budgets
-  /// summing past `num_threads` degrade gracefully and never change
-  /// results).
-  int per_fit_threads = 0;
   /// Consecutive fit failures after which a campaign is quarantined
   /// (skipped by Advance() until ReviveCampaign()). ≤ 0 disables automatic
   /// quarantine — failed campaigns stay degraded and keep being retried.
@@ -169,12 +156,13 @@ class TRICLUST_EXTERNALLY_SYNCHRONIZED CampaignEngine {
   /// num_threads with 0 resolved through hardware concurrency, always ≥ 1.
   int effective_num_threads() const;
 
-  /// How one Advance() batch splits `pool_threads` across `ready_fits`
-  /// fits: every fit gets at least max(1, pool_threads / ready_fits)
-  /// threads and the remainder spills one extra thread onto the first
-  /// `pool_threads % ready_fits` fits, so the slices sum to exactly
-  /// max(pool_threads, ready_fits). Pure function, exposed for tests;
-  /// empty for ready_fits == 0.
+  /// Splits `pool_threads` across `ready_fits` fits: every fit gets at
+  /// least max(1, pool_threads / ready_fits) threads and the remainder
+  /// spills one extra thread onto the first `pool_threads % ready_fits`
+  /// fits, so the slices sum to exactly max(pool_threads, ready_fits);
+  /// empty for ready_fits == 0. Advance() no longer applies this split —
+  /// every fit runs at width 1. It is kept only because the benchmark
+  /// (perfbench/workloads.cc) still calls it; add no new caller.
   static std::vector<int> SplitThreadBudget(int pool_threads,
                                             size_t ready_fits);
 

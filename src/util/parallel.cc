@@ -12,15 +12,9 @@
 namespace triclust {
 namespace {
 
-std::atomic<int> g_num_threads{1};
-
-/// The calling thread's installed budget (ThreadBudget::kAmbient = none).
+/// The calling thread's installed budget (ThreadBudget::kAmbient = none,
+/// which runs at width 1).
 thread_local int t_budget = -1;
-
-/// True while the current thread is executing a chunk of a parallel region;
-/// nested ParallelFor/ParallelReduce calls with no installed budget then
-/// degrade to inline serial execution instead of exploding recursively.
-thread_local bool t_in_parallel_region = false;
 
 int ResolveWidth(int raw) {
   if (raw > 0) return raw;
@@ -28,9 +22,9 @@ int ResolveWidth(int raw) {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-/// Persistent work-sharing pool with concurrent jobs — the backbone of the
-/// two-level schedule. Any thread (including a pool worker running a
-/// campaign-tier chunk) may submit a job; the submitter always participates
+/// Persistent work-sharing pool with concurrent jobs. Any thread
+/// (including a pool worker running a chunk that installed a budget) may
+/// submit a job; the submitter always participates
 /// in its own job, so every job makes progress even when all workers are
 /// busy elsewhere, which makes the nested submit-and-wait pattern
 /// deadlock-free: waits only ever point down the nesting tree, and the
@@ -130,24 +124,14 @@ class ThreadPool {
   }
 
   /// Executes chunks of `job` until the claim counter is exhausted. Chunk
-  /// bodies run with the nesting flag set and no installed budget, so a
-  /// plain kernel chunk stays serial while a campaign-tier chunk can
-  /// install its own per-fit budget and fan out again (two-level
-  /// schedule). RAII so a throwing body cannot leave the thread's state
-  /// corrupted.
+  /// bodies run with no installed budget, so a plain kernel chunk stays
+  /// serial while a chunk that installs its own budget can fan out again.
+  /// RAII so a throwing body cannot leave the thread's budget corrupted.
   static void RunChunks(Job& job) {
     struct ScopeGuard {
-      bool saved_region;
-      int saved_budget;
-      ScopeGuard()
-          : saved_region(t_in_parallel_region), saved_budget(t_budget) {
-        t_in_parallel_region = true;
-        t_budget = -1;
-      }
-      ~ScopeGuard() {
-        t_in_parallel_region = saved_region;
-        t_budget = saved_budget;
-      }
+      int saved_budget = t_budget;
+      ScopeGuard() { t_budget = -1; }
+      ~ScopeGuard() { t_budget = saved_budget; }
     } guard;
     for (;;) {
       const size_t i = job.next_chunk.fetch_add(1, std::memory_order_relaxed);
@@ -208,19 +192,8 @@ class ThreadPool {
 
 }  // namespace
 
-void SetNumThreads(int n) {
-  TRICLUST_CHECK_GE(n, 0);
-  g_num_threads.store(n, std::memory_order_relaxed);
-}
-
-int GetNumThreads() { return g_num_threads.load(std::memory_order_relaxed); }
-
-int EffectiveNumThreads() { return ResolveWidth(GetNumThreads()); }
-
 int CurrentParallelWidth() {
-  if (t_budget >= 0) return ResolveWidth(t_budget);
-  if (t_in_parallel_region) return 1;
-  return EffectiveNumThreads();
+  return t_budget >= 0 ? ResolveWidth(t_budget) : 1;
 }
 
 ThreadBudget::ThreadBudget(int threads) : threads_(threads) {
@@ -242,16 +215,6 @@ ScopedThreadBudget::ScopedThreadBudget(ThreadBudget budget)
 ScopedThreadBudget::~ScopedThreadBudget() {
   if (installed_) t_budget = previous_;
 }
-
-ScopedNumThreads::ScopedNumThreads(int n) : previous_(GetNumThreads()) {
-  SetNumThreads(n);
-}
-
-ScopedNumThreads::~ScopedNumThreads() { SetNumThreads(previous_); }
-
-ScopedSerialKernels::ScopedSerialKernels() : budget_(ThreadBudget::Serial()) {}
-
-ScopedSerialKernels::~ScopedSerialKernels() = default;
 
 void ParallelFor(size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t, size_t)>& body) {

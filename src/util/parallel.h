@@ -6,7 +6,7 @@
 
 namespace triclust {
 
-/// Hierarchical compute parallelism for the solver kernels.
+/// Compute parallelism for the solver kernels.
 ///
 /// The hot kernels of Algorithm 1/2 (SpMM, the dense k×k algebra, the loss
 /// reductions) are row-partitionable, so they all funnel through the two
@@ -15,26 +15,15 @@ namespace triclust {
 /// lifetime of the process; a solver iteration therefore never pays thread
 /// creation cost.
 ///
-/// The scheduler is TWO-LEVEL. The pool accepts any number of concurrent
-/// jobs: a campaign-tier ParallelFor can fan a batch of solver fits out
-/// across the fleet while each fit's kernel-tier ParallelFor/ParallelReduce
-/// calls run row-parallel *inside* their campaign task, all sharing one set
-/// of workers. What keeps the tiers from oversubscribing each other is the
-/// per-fit ThreadBudget: every parallel call resolves its width from the
-/// budget installed on the calling thread (see ScopedThreadBudget), not
-/// from a process-global count, so a serving layer can hand each of R
-/// concurrent fits roughly threads/R of the machine and still use all of it
-/// when R is small.
-///
-/// Width resolution for a ParallelFor/ParallelReduce call, in order:
-///  1. the ThreadBudget installed on the calling thread, if any
-///     (ScopedThreadBudget / ScopedSerialKernels);
-///  2. otherwise, 1 if the thread is executing a chunk of another parallel
-///     region (implicit nesting degrades to serial rather than exploding);
-///  3. otherwise, the process-wide default (SetNumThreads).
+/// The ONE width mechanism is the thread-local ThreadBudget: every
+/// ParallelFor/ParallelReduce call runs at the width of the innermost
+/// budget installed on the calling thread (ScopedThreadBudget), or at
+/// width 1 when none is installed.
 /// Budgets do not leak downward: a chunk body starts with no installed
-/// budget (rule 2 applies) and must install its own to go parallel — this
-/// is exactly what CampaignEngine does per sharded fit.
+/// budget, so a parallel call inside it runs serially unless the body
+/// installs its own. The pool accepts concurrent jobs from any thread,
+/// including its own workers, so a body that does install a budget fans
+/// out again on the shared workers.
 ///
 /// Determinism contract — results are bit-identical at EVERY width:
 ///  - ParallelFor: each index is processed by exactly one thread with the
@@ -44,10 +33,10 @@ namespace triclust {
 ///    of the width), chunk partial sums are combined in chunk order, and
 ///    the 1-width path walks the *same* chunks in the same combine order
 ///    serially. Results are therefore bit-identical across all widths,
-///    including 1 — which is what lets a fit running under any budget split
+///    including 1 — which is what lets a fit running under any budget
 ///    reproduce a standalone serial fit exactly.
 ///
-/// Thread count resolution: 0 = std::thread::hardware_concurrency(),
+/// Width resolution of a budget: 0 = std::thread::hardware_concurrency(),
 /// 1 = strict serial (no pool involvement), n = at most n concurrent
 /// threads (the calling thread participates as one of them). An
 /// oversubscribed schedule (budgets summing past the pool) degrades
@@ -55,33 +44,20 @@ namespace triclust {
 /// progress on its submitting thread, and results never depend on how many
 /// helpers actually joined.
 
-/// Sets the process-wide *default* width used by parallel calls from
-/// threads with no installed ThreadBudget. Thread safety: atomic store,
-/// callable from any thread.
-void SetNumThreads(int n);
-
-/// The configured process-wide default (0 = auto). Thread safety: atomic
-/// load, callable from any thread.
-int GetNumThreads();
-
-/// The resolved process-wide default, always ≥ 1 (0 resolved through
-/// hardware_concurrency). Thread safety: callable from any thread.
-int EffectiveNumThreads();
-
 /// The width the *next* ParallelFor/ParallelReduce on this thread would
-/// use, after budget → nesting → global resolution (always ≥ 1). Exposed
-/// for tests and for kernels that pick an algorithm by width.
+/// use: the innermost installed budget, else 1 (always ≥ 1). Exposed for
+/// tests and for kernels that pick an algorithm by width.
 int CurrentParallelWidth();
 
-/// An explicit per-fit thread budget: how many concurrent threads one
-/// solver fit may occupy. A budget is a plain value — copy it, store it in
-/// a workspace, pass it down — and takes effect only while installed on a
-/// thread via ScopedThreadBudget. 0 resolves to hardware concurrency; an
-/// *ambient* budget (the default-constructed value) means "no opinion":
-/// installing it is a no-op and the thread keeps resolving by rules 2–3.
+/// A thread budget: how many concurrent threads one solver fit may occupy.
+/// A budget is a plain value — copy it, store it in a workspace, pass it
+/// down — and takes effect only while installed on a thread via
+/// ScopedThreadBudget. 0 resolves to hardware concurrency; an *ambient*
+/// budget (the default-constructed value) means "no opinion": installing
+/// it is a no-op and the thread keeps its current width.
 class ThreadBudget {
  public:
-  /// Ambient: defer to the calling context (nesting rule / global default).
+  /// Ambient: defer to the calling context (its installed budget, else 1).
   ThreadBudget() : threads_(kAmbient) {}
   /// Explicit budget of `threads` (≥ 0; 0 = hardware concurrency).
   explicit ThreadBudget(int threads);
@@ -107,9 +83,11 @@ class ThreadBudget {
 /// ambient budget is a no-op (the previous state stays in effect). Scopes
 /// nest (innermost wins) and are THREAD-LOCAL: budgets on different
 /// threads are fully independent, so concurrent fits with different
-/// budgets never stomp each other — this replaces the historical
-/// process-global ScopedNumThreads for everything that may run
-/// concurrently.
+/// budgets never stomp each other.
+///
+/// Spell it with braces — `ScopedThreadBudget scope{ThreadBudget(n)};`.
+/// With parentheses and a named argument the line declares a function
+/// (most vexing parse) and installs nothing.
 class ScopedThreadBudget {
  public:
   explicit ScopedThreadBudget(ThreadBudget budget);
@@ -122,50 +100,16 @@ class ScopedThreadBudget {
   bool installed_;
 };
 
-/// RAII: sets the process-wide default width for a scope, restoring the
-/// previous value on destruction. The guarded setting is PROCESS-GLOBAL,
-/// so two scopes live on different threads stomp each other's value — use
-/// ScopedThreadBudget (per-thread) for anything concurrent. Retained for
-/// single-threaded callers (tests, CLI tools) that want to steer code they
-/// do not own a config for.
-class ScopedNumThreads {
- public:
-  explicit ScopedNumThreads(int n);
-  ~ScopedNumThreads();
-  ScopedNumThreads(const ScopedNumThreads&) = delete;
-  ScopedNumThreads& operator=(const ScopedNumThreads&) = delete;
-
- private:
-  int previous_;
-};
-
-/// RAII: forces every kernel call made by the *current thread* onto the
-/// serial code path for the scope's lifetime — shorthand for
-/// ScopedThreadBudget(ThreadBudget::Serial()). Nested scopes compose, and
-/// a nested ScopedThreadBudget with a wider budget overrides it (innermost
-/// wins), which is how a budget-of-1 campaign fit degenerates to exactly
-/// this scope's historical behavior.
-class ScopedSerialKernels {
- public:
-  ScopedSerialKernels();
-  ~ScopedSerialKernels();
-  ScopedSerialKernels(const ScopedSerialKernels&) = delete;
-  ScopedSerialKernels& operator=(const ScopedSerialKernels&) = delete;
-
- private:
-  ScopedThreadBudget budget_;
-};
-
 /// Runs body(chunk_begin, chunk_end) over disjoint sub-ranges covering
 /// [begin, end). `grain` is the minimum chunk size (load-balancing hint;
-/// does not affect results for disjoint-output bodies). With a resolved
-/// width of 1 — or when called from inside another parallel region with no
-/// budget installed — runs body(begin, end) inline.
+/// does not affect results for disjoint-output bodies). With a width of 1
+/// (CurrentParallelWidth), or a range no larger than `grain`, runs
+/// body(begin, end) inline on the calling thread, under its budget.
 ///
 /// Thread safety: callable from any thread, including pool workers. Calls
 /// from distinct threads run as concurrent pool jobs sharing the worker
 /// set; a chunk body that installs a ThreadBudget may itself call
-/// ParallelFor (the two-level schedule). The caller must ensure bodies on
+/// ParallelFor at that width. The caller must ensure bodies on
 /// different sub-ranges touch disjoint data.
 ///
 /// Bodies should not throw: an exception on the calling thread is

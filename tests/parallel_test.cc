@@ -33,7 +33,7 @@ constexpr size_t kCols = 700;
 constexpr size_t kK = 3;
 
 TEST(ParallelForTest, CoversRangeExactlyOnce) {
-  ScopedNumThreads threads(4);
+  ScopedThreadBudget threads{ThreadBudget(4)};
   std::vector<std::atomic<int>> hits(1000);
   ParallelFor(0, hits.size(), 1, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
@@ -42,7 +42,7 @@ TEST(ParallelForTest, CoversRangeExactlyOnce) {
 }
 
 TEST(ParallelForTest, EmptyRangeIsNoOp) {
-  ScopedNumThreads threads(4);
+  ScopedThreadBudget threads{ThreadBudget(4)};
   bool called = false;
   ParallelFor(5, 5, 1, [&](size_t, size_t) { called = true; });
   EXPECT_FALSE(called);
@@ -54,7 +54,7 @@ TEST(ParallelReduceTest, MatchesSerialSumWithinRounding) {
   for (double& v : values) v = rng.Uniform(-1.0, 1.0);
   const double serial =
       std::accumulate(values.begin(), values.end(), 0.0);
-  ScopedNumThreads threads(4);
+  ScopedThreadBudget threads{ThreadBudget(4)};
   const double parallel = ParallelReduce(
       0, values.size(), kReduceFlatGrain, [&](size_t begin, size_t end) {
         double total = 0.0;
@@ -76,13 +76,13 @@ TEST(ParallelReduceTest, DeterministicAcrossThreadCounts) {
   double results[3];
   int idx = 0;
   for (int t : {1, 2, 4}) {
-    ScopedNumThreads threads(t);
+    ScopedThreadBudget threads{ThreadBudget(t)};
     results[idx++] =
         ParallelReduce(0, values.size(), kReduceFlatGrain, chunk_sum);
   }
   // Fixed-grain chunks summed in chunk order at EVERY count — the 1-thread
-  // path walks the same chunks serially, so it is bit-identical too (the
-  // invariance the per-fit budget splits rely on; see parallel.h).
+  // path walks the same chunks serially, so it is bit-identical too (see
+  // parallel.h).
   EXPECT_EQ(results[0], results[1]);
   EXPECT_EQ(results[1], results[2]);
 }
@@ -105,24 +105,24 @@ class RowPartitionedKernelTest : public ::testing::Test {
 };
 
 TEST_F(RowPartitionedKernelTest, MatMulBitIdentical) {
-  ScopedNumThreads serial(1);
+  ScopedThreadBudget serial{ThreadBudget(1)};
   const DenseMatrix expected = MatMul(a_, b_);
-  ScopedNumThreads parallel(4);
+  ScopedThreadBudget parallel{ThreadBudget(4)};
   EXPECT_EQ(MatMul(a_, b_), expected);
 }
 
 TEST_F(RowPartitionedKernelTest, MatMulABtBitIdentical) {
   const DenseMatrix bt = b_.Transposed();  // kK×kCols
-  ScopedNumThreads serial(1);
+  ScopedThreadBudget serial{ThreadBudget(1)};
   const DenseMatrix expected = MatMulABt(a_, bt);
-  ScopedNumThreads parallel(4);
+  ScopedThreadBudget parallel{ThreadBudget(4)};
   EXPECT_EQ(MatMulABt(a_, bt), expected);
 }
 
 TEST_F(RowPartitionedKernelTest, SpMMBitIdentical) {
-  ScopedNumThreads serial(1);
+  ScopedThreadBudget serial{ThreadBudget(1)};
   const DenseMatrix expected = SpMM(x_, b_);
-  ScopedNumThreads parallel(4);
+  ScopedThreadBudget parallel{ThreadBudget(4)};
   EXPECT_EQ(SpMM(x_, b_), expected);
 }
 
@@ -130,9 +130,9 @@ TEST_F(RowPartitionedKernelTest, DiagScaleRowsBitIdentical) {
   std::vector<double> diag(kRows);
   Rng rng(12);
   for (double& d : diag) d = rng.Uniform(0.0, 2.0);
-  ScopedNumThreads serial(1);
+  ScopedThreadBudget serial{ThreadBudget(1)};
   const DenseMatrix expected = DiagScaleRows(diag, tall_);
-  ScopedNumThreads parallel(4);
+  ScopedThreadBudget parallel{ThreadBudget(4)};
   EXPECT_EQ(DiagScaleRows(diag, tall_), expected);
 }
 
@@ -143,11 +143,11 @@ TEST_F(RowPartitionedKernelTest, MultiplicativeUpdateBitIdentical) {
   DenseMatrix serial_m = tall_;
   DenseMatrix parallel_m = tall_;
   {
-    ScopedNumThreads serial(1);
+    ScopedThreadBudget serial{ThreadBudget(1)};
     MultiplicativeUpdateInPlace(&serial_m, numer, denom, 1e-12);
   }
   {
-    ScopedNumThreads parallel(4);
+    ScopedThreadBudget parallel{ThreadBudget(4)};
     MultiplicativeUpdateInPlace(&parallel_m, numer, denom, 1e-12);
   }
   EXPECT_EQ(parallel_m, serial_m);
@@ -156,11 +156,11 @@ TEST_F(RowPartitionedKernelTest, MultiplicativeUpdateBitIdentical) {
 TEST_F(RowPartitionedKernelTest, SplitPositiveNegativeBitIdentical) {
   DenseMatrix pos_serial, neg_serial, pos_parallel, neg_parallel;
   {
-    ScopedNumThreads serial(1);
+    ScopedThreadBudget serial{ThreadBudget(1)};
     SplitPositiveNegative(a_, &pos_serial, &neg_serial);
   }
   {
-    ScopedNumThreads parallel(4);
+    ScopedThreadBudget parallel{ThreadBudget(4)};
     SplitPositiveNegative(a_, &pos_parallel, &neg_parallel);
   }
   EXPECT_EQ(pos_parallel, pos_serial);
@@ -172,7 +172,7 @@ TEST_F(RowPartitionedKernelTest, SpTMMMatchesSpMMOverTransposeBitwise) {
   // cached transpose accumulate every output entry in the same order.
   const SparseMatrix xt = x_.Transposed();
   const DenseMatrix scatter = SpTMM(x_, tall_);
-  ScopedNumThreads parallel(4);
+  ScopedThreadBudget parallel{ThreadBudget(4)};
   EXPECT_EQ(SpMM(xt, tall_), scatter);
 }
 
@@ -196,9 +196,9 @@ class ReductionKernelTest : public ::testing::Test {
 };
 
 TEST_F(ReductionKernelTest, MatMulAtBWithinTolerance) {
-  ScopedNumThreads serial(1);
+  ScopedThreadBudget serial{ThreadBudget(1)};
   const DenseMatrix expected = MatMulAtB(u_, u_);
-  ScopedNumThreads parallel(4);
+  ScopedThreadBudget parallel{ThreadBudget(4)};
   const DenseMatrix actual = MatMulAtB(u_, u_);
   ASSERT_EQ(actual.rows(), expected.rows());
   ASSERT_EQ(actual.cols(), expected.cols());
@@ -212,7 +212,7 @@ TEST_F(ReductionKernelTest, MatMulAtBDeterministicAcrossThreadCounts) {
   DenseMatrix results[3];
   int idx = 0;
   for (int t : {1, 2, 4}) {
-    ScopedNumThreads threads(t);
+    ScopedThreadBudget threads{ThreadBudget(t)};
     results[idx++] = MatMulAtB(u_, u_);
   }
   EXPECT_EQ(results[0], results[1]);
@@ -220,16 +220,16 @@ TEST_F(ReductionKernelTest, MatMulAtBDeterministicAcrossThreadCounts) {
 }
 
 TEST_F(ReductionKernelTest, FrobeniusNormSquaredWithinTolerance) {
-  ScopedNumThreads serial(1);
+  ScopedThreadBudget serial{ThreadBudget(1)};
   const double expected = FrobeniusNormSquared(u_);
-  ScopedNumThreads parallel(4);
+  ScopedThreadBudget parallel{ThreadBudget(4)};
   EXPECT_NEAR(FrobeniusNormSquared(u_), expected, 1e-12 * expected);
 }
 
 TEST_F(ReductionKernelTest, FactorizationLossWithinTolerance) {
-  ScopedNumThreads serial(1);
+  ScopedThreadBudget serial{ThreadBudget(1)};
   const double expected = FactorizationLossSquared(x_, u_, v_);
-  ScopedNumThreads parallel(4);
+  ScopedThreadBudget parallel{ThreadBudget(4)};
   EXPECT_NEAR(FactorizationLossSquared(x_, u_, v_), expected,
               1e-12 * std::fabs(expected) + 1e-12);
 }
@@ -242,10 +242,10 @@ TEST_F(ReductionKernelTest, GraphLaplacianQuadraticFormWithinTolerance) {
                      rng.Uniform(0.1, 1.0)});
   }
   const UserGraph gu = UserGraph::FromEdges(kRows, edges);
-  ScopedNumThreads serial(1);
+  ScopedThreadBudget serial{ThreadBudget(1)};
   const double expected =
       GraphLaplacianQuadraticForm(gu.adjacency(), gu.degrees(), u_);
-  ScopedNumThreads parallel(4);
+  ScopedThreadBudget parallel{ThreadBudget(4)};
   EXPECT_NEAR(GraphLaplacianQuadraticForm(gu.adjacency(), gu.degrees(), u_),
               expected, 1e-10 * std::fabs(expected) + 1e-10);
 }
@@ -279,16 +279,16 @@ TEST(ParallelSolverTest, OfflineFitMatchesSerial) {
   expect_near(parallel.hu, serial.hu);
 }
 
-/// The solver resolves threads per fit and restores the global setting.
-TEST(ParallelSolverTest, FitRestoresGlobalThreadSetting) {
-  SetNumThreads(3);
+/// The solver installs its budget for the fit only and restores the
+/// caller's.
+TEST(ParallelSolverTest, FitRestoresCallerThreadBudget) {
+  ScopedThreadBudget caller{ThreadBudget(3)};
   const SmallProblem p = MakeSmallProblem();
   TriClusterConfig config;
   config.max_iterations = 2;
   config.num_threads = 2;
   OfflineTriClusterer(config).Run(p.data, p.sf0);
-  EXPECT_EQ(GetNumThreads(), 3);
-  SetNumThreads(1);
+  EXPECT_EQ(CurrentParallelWidth(), 3);
 }
 
 /// Workspace reuse must not change any result: one workspace carried across

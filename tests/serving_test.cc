@@ -208,12 +208,11 @@ TEST(CampaignEngineTest, FourCampaignsMatchFourStandaloneClusterers) {
   }
 }
 
-/// Streams a small fleet through one engine under the given thread options
-/// and returns every fitted result in report order. Campaign 1 only gets
-/// data on day 0, so later days advance a single pending campaign — the
-/// budget-split path where one fit gets the whole pool.
+/// Streams a small fleet through one engine with `num_threads` and returns
+/// every fitted result in report order. Only campaign 0 gets data after
+/// day 0, so later days advance a single pending campaign — the path where
+/// the lone fit runs inline under the engine's budget.
 std::vector<TriClusterResult> RunBudgetFleet(int num_threads,
-                                             int per_fit_threads,
                                              size_t num_campaigns = 2) {
   std::vector<Fixture> fixtures;
   for (size_t i = 0; i < num_campaigns; ++i) {
@@ -221,7 +220,6 @@ std::vector<TriClusterResult> RunBudgetFleet(int num_threads,
   }
   serving::CampaignEngine::Options options;
   options.num_threads = num_threads;
-  options.per_fit_threads = per_fit_threads;
   serving::CampaignEngine engine(options);
   for (size_t i = 0; i < fixtures.size(); ++i) {
     engine.AddCampaign("c" + std::to_string(i), FastConfig(),
@@ -244,56 +242,33 @@ std::vector<TriClusterResult> RunBudgetFleet(int num_threads,
 }
 
 TEST(CampaignEngineTest, ResultsIndependentOfEngineThreadBudget) {
-  // The same fleet advanced with 1 thread and with 4 threads (and with a
-  // sibling count that exercises the inline single-fit path) must agree
-  // bitwise.
-  const auto serial = RunBudgetFleet(1, 0);
-  const auto sharded = RunBudgetFleet(4, 0);
-  ASSERT_EQ(serial.size(), sharded.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    ExpectSameFactors(sharded[i], serial[i], "result " + std::to_string(i));
-  }
-}
-
-TEST(CampaignEngineTest, ResultsIndependentOfPerFitBudgetSplit) {
-  // Engine-vs-engine bitwise equality across every budget-split shape the
-  // hierarchical scheduler produces: serial baseline; the N×1 historical
-  // sharding (per_fit_threads = 1); 1×N (2 fits splitting 8 threads, and a
-  // lone pending fit taking the whole pool on days 1–2); an uneven split
-  // with remainder spill (3 fits over 4 threads → {2, 1, 1}); and an
-  // oversubscribed schedule (every fit forced to 4 threads on a 2-thread
-  // pool). The kernels are width-invariant, so all must agree bitwise.
-  const auto reference = RunBudgetFleet(1, 0);
-  const struct {
-    int num_threads;
-    int per_fit_threads;
-  } variants[] = {{4, 1}, {8, 0}, {2, 4}};
-  for (const auto& v : variants) {
-    const auto got = RunBudgetFleet(v.num_threads, v.per_fit_threads);
+  // The same fleet advanced serially and sharded over 2, 4 and 8 threads
+  // (8 oversubscribes a 2-campaign fleet), plus a 3-campaign fleet on 4
+  // threads, must agree bitwise with the serial engine.
+  const auto reference = RunBudgetFleet(1);
+  for (const int threads : {2, 4, 8}) {
+    const auto got = RunBudgetFleet(threads);
     ASSERT_EQ(got.size(), reference.size());
     for (size_t i = 0; i < got.size(); ++i) {
       ExpectSameFactors(got[i], reference[i],
-                        "threads " + std::to_string(v.num_threads) +
-                            " per-fit " + std::to_string(v.per_fit_threads) +
-                            " result " + std::to_string(i));
+                        "threads " + std::to_string(threads) + " result " +
+                            std::to_string(i));
     }
   }
 
-  // Uneven remainder spill needs 3 campaigns: 4 threads → budgets {2,1,1}.
-  const auto uneven_reference = RunBudgetFleet(1, 0, 3);
-  const auto uneven = RunBudgetFleet(4, 0, 3);
-  ASSERT_EQ(uneven.size(), uneven_reference.size());
-  for (size_t i = 0; i < uneven.size(); ++i) {
-    ExpectSameFactors(uneven[i], uneven_reference[i],
-                      "uneven result " + std::to_string(i));
+  const auto three_reference = RunBudgetFleet(1, 3);
+  const auto three = RunBudgetFleet(4, 3);
+  ASSERT_EQ(three.size(), three_reference.size());
+  for (size_t i = 0; i < three.size(); ++i) {
+    ExpectSameFactors(three[i], three_reference[i],
+                      "3 campaigns result " + std::to_string(i));
   }
 }
 
 TEST(CampaignEngineTest, ZeroThreadsMeansHardwareConcurrency) {
   // EngineOptions::num_threads = 0 is documented as "use hardware
-  // concurrency": pin the resolution (and that the resolved pool still
-  // yields bit-identical results) while the option's meaning changes from
-  // campaign-only sharding to the hierarchical split.
+  // concurrency": pin the resolution and that the resolved pool still
+  // yields bit-identical results.
   serving::CampaignEngine::Options options;
   options.num_threads = 0;
   serving::CampaignEngine engine(options);
@@ -306,8 +281,8 @@ TEST(CampaignEngineTest, ZeroThreadsMeansHardwareConcurrency) {
   EXPECT_EQ(serving::CampaignEngine(explicit_options).effective_num_threads(),
             3);
 
-  const auto reference = RunBudgetFleet(1, 0);
-  const auto automatic = RunBudgetFleet(0, 0);
+  const auto reference = RunBudgetFleet(1);
+  const auto automatic = RunBudgetFleet(0);
   ASSERT_EQ(automatic.size(), reference.size());
   for (size_t i = 0; i < automatic.size(); ++i) {
     ExpectSameFactors(automatic[i], reference[i],

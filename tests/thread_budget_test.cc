@@ -1,7 +1,7 @@
-/// Tests of the hierarchical per-fit ThreadBudget scheduler
-/// (src/util/parallel.h): width resolution, nested two-level parallelism,
-/// concurrent pool jobs, the any-width bit-identity of the fixed-grain
-/// reductions, and the budget split used by CampaignEngine::Advance.
+/// Tests of the thread-local ThreadBudget (src/util/parallel.h): width
+/// resolution, nested parallelism, concurrent pool jobs, the any-width
+/// bit-identity of the fixed-grain reductions, and
+/// CampaignEngine::SplitThreadBudget.
 
 #include "src/util/parallel.h"
 
@@ -52,23 +52,35 @@ TEST(ThreadBudgetTest, ExplicitBudgetResolvesToItself) {
 }
 
 TEST(ThreadBudgetTest, WidthResolutionOrder) {
-  // Rule 3: no budget, no nesting — the process-wide default applies.
-  ScopedNumThreads global(3);
-  EXPECT_EQ(CurrentParallelWidth(), 3);
+  // Rule 2: no installed budget — width 1.
+  EXPECT_EQ(CurrentParallelWidth(), 1);
   {
-    // Rule 1: an installed budget wins over the global default.
-    ScopedThreadBudget budget(ThreadBudget(2));
+    // Rule 1: the innermost installed budget wins; ambient installs are
+    // no-ops.
+    ScopedThreadBudget budget{ThreadBudget(2)};
     EXPECT_EQ(CurrentParallelWidth(), 2);
     {
-      // Innermost budget wins; ambient installs are no-ops.
-      ScopedThreadBudget inner(ThreadBudget(7));
+      ScopedThreadBudget inner{ThreadBudget(7)};
       EXPECT_EQ(CurrentParallelWidth(), 7);
       ScopedThreadBudget ambient{ThreadBudget::Ambient()};
       EXPECT_EQ(CurrentParallelWidth(), 7);
     }
     EXPECT_EQ(CurrentParallelWidth(), 2);
+
+    // Budgets are per thread: a fresh std::thread and a pool chunk start
+    // with none installed and resolve to width 1.
+    int fresh_thread_width = 0;
+    std::thread([&] { fresh_thread_width = CurrentParallelWidth(); }).join();
+    EXPECT_EQ(fresh_thread_width, 1);
+    std::atomic<int> wide_chunks{0};
+    ParallelFor(0, 8, 1, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        if (CurrentParallelWidth() != 1) wide_chunks.fetch_add(1);
+      }
+    });
+    EXPECT_EQ(wide_chunks.load(), 0);
   }
-  EXPECT_EQ(CurrentParallelWidth(), 3);
+  EXPECT_EQ(CurrentParallelWidth(), 1);
 }
 
 TEST(ThreadBudgetTest, BraceInitializedScopeInstallsNamedBudget) {
@@ -78,27 +90,16 @@ TEST(ThreadBudgetTest, BraceInitializedScopeInstallsNamedBudget) {
   // CampaignEngine::Advance hit exactly this. Brace initialization is the
   // required spelling; -Wvexing-parse (promoted via -Wall) rejects the
   // paren form at compile time, and this test pins the runtime behavior.
-  ScopedNumThreads global(3);
   const int n = 5;
   ThreadBudget named(n);
   ScopedThreadBudget scope{named};
   EXPECT_EQ(CurrentParallelWidth(), 5);
 }
 
-TEST(ThreadBudgetTest, SerialKernelsScopeIsBudgetOfOne) {
-  ScopedNumThreads global(4);
-  ScopedSerialKernels serial;
-  EXPECT_EQ(CurrentParallelWidth(), 1);
-  // A nested explicit budget overrides it (innermost wins) — this is how
-  // a sharded fit re-widens inside the campaign tier.
-  ScopedThreadBudget budget(ThreadBudget(2));
-  EXPECT_EQ(CurrentParallelWidth(), 2);
-}
-
 TEST(ThreadBudgetTest, ChunkBodiesStartSerialAndCanInstallBudgets) {
-  // Rule 2: inside a parallel region with no budget the width degrades to
-  // 1; installing a budget inside the chunk re-enables parallelism.
-  ScopedNumThreads global(2);
+  // Chunk bodies start with no installed budget, so their width is 1;
+  // installing a budget inside the chunk re-enables parallelism.
+  ScopedThreadBudget outer{ThreadBudget(2)};
   std::atomic<int> serial_widths{0};
   std::atomic<int> rewidened_widths{0};
   ParallelFor(0, 8, 1, [&](size_t begin, size_t end) {
@@ -112,12 +113,12 @@ TEST(ThreadBudgetTest, ChunkBodiesStartSerialAndCanInstallBudgets) {
   EXPECT_EQ(rewidened_widths.load(), 8);
 }
 
-// --- nested (two-level) execution --------------------------------------------
+// --- nested execution --------------------------------------------------------
 
 TEST(NestedParallelismTest, InnerParallelForCoversEveryIndexExactlyOnce) {
-  // Campaign-tier fan-out over 4 tasks; each task installs its own budget
-  // and row-parallelizes — the engine's exact execution shape.
-  ScopedNumThreads global(4);
+  // Fan-out over 4 tasks; each task installs its own budget and
+  // row-parallelizes inside its chunk.
+  ScopedThreadBudget outer{ThreadBudget(4)};
   constexpr size_t kTasks = 4;
   constexpr size_t kItems = 10000;
   std::vector<std::vector<std::atomic<int>>> hits(kTasks);
@@ -151,7 +152,7 @@ TEST(NestedParallelismTest, InnerReduceBitIdenticalToSerialReference) {
   const double reference =
       ParallelReduce(0, values.size(), kReduceFlatGrain, chunk_sum);
 
-  ScopedNumThreads global(3);
+  ScopedThreadBudget outer{ThreadBudget(3)};
   std::vector<double> nested(3, 0.0);
   ParallelFor(0, nested.size(), 1, [&](size_t begin, size_t end) {
     for (size_t t = begin; t < end; ++t) {
@@ -167,8 +168,8 @@ TEST(NestedParallelismTest, InnerReduceBitIdenticalToSerialReference) {
 
 TEST(NestedParallelismTest, ConcurrentSubmittersFromDistinctThreads) {
   // Two top-level threads each drive their own parallel jobs against the
-  // shared pool — the multi-job schedule the old one-job-at-a-time pool
-  // would have serialized (and the old region flag would have broken).
+  // shared pool — the multi-job schedule a one-job-at-a-time pool would
+  // serialize.
   constexpr size_t kItems = 50000;
   auto work = [](int budget, std::vector<double>* out) {
     // Braces, not parens: `ScopedThreadBudget s(ThreadBudget(budget));`
@@ -198,7 +199,7 @@ TEST(NestedParallelismTest, OversubscribedBudgetsDegradeGracefully) {
   // Budgets summing far past the machine: every task asks for hardware
   // concurrency. Helpers are best-effort, so this must complete and cover
   // every index exactly once.
-  ScopedNumThreads global(4);
+  ScopedThreadBudget outer{ThreadBudget(4)};
   constexpr size_t kTasks = 4;
   constexpr size_t kItems = 20000;
   std::vector<std::atomic<int>> hits(kItems);
@@ -233,8 +234,8 @@ TEST(AnyWidthBitIdentityTest, ParallelReduceIdenticalAtEveryWidth) {
         ParallelReduce(0, values.size(), kReduceFlatGrain, chunk_sum));
   }
   // Including width 1: the serial path walks the same fixed chunks in the
-  // same combine order, which is what lets a budget split reproduce a
-  // standalone serial fit bit-for-bit.
+  // same combine order, which is what lets a fit under any budget
+  // reproduce a standalone serial fit bit-for-bit.
   for (size_t i = 1; i < results.size(); ++i) {
     EXPECT_EQ(results[i], results[0]);
   }
@@ -286,29 +287,7 @@ TEST(AnyWidthBitIdentityTest, OfflineFitBitIdenticalAcrossBudgets) {
   }
 }
 
-TEST(AnyWidthBitIdentityTest, BudgetOfOneMatchesSerialKernelsScope) {
-  // The budget-of-1 path is the same code path ScopedSerialKernels pins —
-  // the degenerate case the serving layer used for every fit before the
-  // hierarchical split.
-  Rng rng(13);
-  const DenseMatrix u = DenseMatrix::Random(kRows, kK, &rng, 0.0, 1.0);
-  DenseMatrix via_scope, via_budget;
-  double frob_scope, frob_budget;
-  {
-    ScopedSerialKernels serial;
-    via_scope = MatMulAtB(u, u);
-    frob_scope = FrobeniusNormSquared(u);
-  }
-  {
-    ScopedThreadBudget budget(ThreadBudget(1));
-    via_budget = MatMulAtB(u, u);
-    frob_budget = FrobeniusNormSquared(u);
-  }
-  EXPECT_EQ(via_budget, via_scope);
-  EXPECT_EQ(frob_budget, frob_scope);
-}
-
-// --- the engine's budget split -----------------------------------------------
+// --- CampaignEngine::SplitThreadBudget ---------------------------------------
 
 TEST(SplitThreadBudgetTest, EvenSplit) {
   using serving::CampaignEngine;
