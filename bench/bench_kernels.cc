@@ -229,6 +229,46 @@ void BM_MatMulAtBPaperShape(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulAtBPaperShape)->Arg(2)->Arg(3)->Arg(4);
 
+/// S·H — the n×k · k×k product UpdateSp/UpdateSu run four times per sweep
+/// and the objective once per factorization term (offline Prop 30 shape:
+/// ~24k tweets).
+void BM_MatMulPaperShape(benchmark::State& state) {
+  const size_t k = static_cast<size_t>(state.range(0));
+  const ScopedThreadBudget threads{ThreadBudget(1)};
+  Rng rng(29);
+  const DenseMatrix s = DenseMatrix::Random(24000, k, &rng, 0.0, 1.0);
+  const DenseMatrix h = DenseMatrix::Random(k, k, &rng, 0.0, 1.0);
+  DenseMatrix c;
+  for (auto _ : state) {
+    MatMulInto(s, h, &c);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.counters["rows"] = static_cast<double>(s.rows());
+  state.counters["k"] = static_cast<double>(k);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(s.rows()));
+}
+BENCHMARK(BM_MatMulPaperShape)->Arg(2)->Arg(3)->Arg(4);
+
+/// (X·Sf)·Hᵀ — the n×k · (k×k)ᵀ product of UpdateSp/UpdateSu.
+void BM_MatMulABtPaperShape(benchmark::State& state) {
+  const size_t k = static_cast<size_t>(state.range(0));
+  const ScopedThreadBudget threads{ThreadBudget(1)};
+  Rng rng(30);
+  const DenseMatrix a = DenseMatrix::Random(24000, k, &rng, 0.0, 1.0);
+  const DenseMatrix h = DenseMatrix::Random(k, k, &rng, 0.0, 1.0);
+  DenseMatrix c;
+  for (auto _ : state) {
+    MatMulABtInto(a, h, &c);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.counters["rows"] = static_cast<double>(a.rows());
+  state.counters["k"] = static_cast<double>(k);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(a.rows()));
+}
+BENCHMARK(BM_MatMulABtPaperShape)->Arg(2)->Arg(3)->Arg(4);
+
 void BM_MulUpdatePaperShape(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   const ScopedThreadBudget threads{ThreadBudget(1)};

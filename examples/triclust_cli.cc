@@ -6,6 +6,9 @@
 ///                [--seed-fraction F] [--demo] [--input corpus.tsv]
 ///                [--output prefix]
 ///
+/// --iters takes 1..INT_MAX and --seed-fraction a value in [0, 1]; anything
+/// else prints the usage message and exits 1.
+///
 /// With --demo (default when no --input is given) a synthetic campaign is
 /// generated, solved, and scored against its ground truth. With --input,
 /// the TSV produced by Corpus::SaveTsv is loaded; assignments are written
@@ -13,6 +16,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <unordered_map>
 
@@ -70,15 +74,24 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       const char* v = next();
       if (v == nullptr || !ParseDouble(v, &options->beta)) return false;
     } else if (arg == "--iters") {
+      // Stored as int: reject values past INT_MAX instead of narrowing them
+      // (2147483648 would wrap negative, 4294967296 to 0).
       const char* v = next();
       size_t iters = 0;
-      if (v == nullptr || !ParseSizeT(v, &iters) || iters == 0) return false;
-      options->iters = static_cast<int>(iters);
-    } else if (arg == "--seed-fraction") {
-      const char* v = next();
-      if (v == nullptr || !ParseDouble(v, &options->seed_fraction)) {
+      if (v == nullptr || !ParseSizeT(v, &iters) || iters == 0 ||
+          iters > static_cast<size_t>(std::numeric_limits<int>::max())) {
         return false;
       }
+      options->iters = static_cast<int>(iters);
+    } else if (arg == "--seed-fraction") {
+      // A fraction of the labels: [0, 1]; NaN fails both comparisons.
+      const char* v = next();
+      double fraction = 0.0;
+      if (v == nullptr || !ParseDouble(v, &fraction) ||
+          !(fraction >= 0.0 && fraction <= 1.0)) {
+        return false;
+      }
+      options->seed_fraction = fraction;
     } else if (arg == "--input") {
       const char* v = next();
       if (v == nullptr) return false;

@@ -144,8 +144,8 @@ void UpdateSp(const SparseMatrix& xp, const SparseMatrix& xr,
     TRICLUST_CHECK_EQ(prior_target->cols(), sp->cols());
   }
 
-  SpMMInto(xp, sf, &ws.rows_a);
-  MatMulABtInto(ws.rows_a, hp, &ws.rows_b);  // Xp·Sf·Hpᵀ
+  SpMMInto(xp, sf, &ws.x_sf);              // Xp·Sf, reused by UpdateHp
+  MatMulABtInto(ws.x_sf, hp, &ws.rows_b);  // Xp·Sf·Hpᵀ
   TransposedSpMM(workspace, Slot::kXr, xr, su, &ws.rows_c);  // Xrᵀ·Su
 
   MatMulAtBInto(sf, sf, &ws.kk_a);  // SfᵀSf
@@ -215,8 +215,8 @@ void UpdateSu(const SparseMatrix& xu, const SparseMatrix& xr,
     TRICLUST_CHECK_EQ(temporal_target->cols(), su->cols());
   }
 
-  SpMMInto(xu, sf, &ws.rows_a);
-  MatMulABtInto(ws.rows_a, hu, &ws.rows_b);  // Xu·Sf·Huᵀ
+  SpMMInto(xu, sf, &ws.x_sf);              // Xu·Sf, reused by UpdateHu
+  MatMulABtInto(ws.x_sf, hu, &ws.rows_b);  // Xu·Sf·Huᵀ
   SpMMInto(xr, sp, &ws.rows_c);              // Xr·Sp
   SpMMInto(gu.adjacency(), *su, &ws.rows_d);  // Gu·Su
   DiagScaleRowsInto(gu.degrees(), *su, &ws.rows_e);  // Du·Su
@@ -274,15 +274,20 @@ void UpdateSu(const SparseMatrix& xu, const SparseMatrix& xr,
 
 void UpdateHp(const SparseMatrix& xp, const DenseMatrix& sp,
               const DenseMatrix& sf, DenseMatrix* hp, double eps,
-              UpdateWorkspace* workspace) {
+              UpdateWorkspace* workspace, const DenseMatrix* xp_sf) {
   TRICLUST_CHECK(hp != nullptr);
   UpdateWorkspace local;
   UpdateWorkspace& ws = workspace != nullptr ? *workspace : local;
   // With a workspace, every Xᵀ·D must ride the cached transpose; reaching
   // the serial SpTMM scatter under this scope is a loud failure.
   internal::ScopedForbidSpTMMScatter forbid_scatter(workspace != nullptr);
-  SpMMInto(xp, sf, &ws.rows_a);
-  MatMulAtBInto(sp, ws.rows_a, &ws.numer);  // SpᵀXpSf
+  if (xp_sf == nullptr) {
+    SpMMInto(xp, sf, &ws.rows_a);
+    xp_sf = &ws.rows_a;
+  }
+  TRICLUST_CHECK_EQ(xp_sf->rows(), xp.rows());
+  TRICLUST_CHECK_EQ(xp_sf->cols(), sf.cols());
+  MatMulAtBInto(sp, *xp_sf, &ws.numer);  // SpᵀXpSf
   MatMulAtBInto(sp, sp, &ws.kk_a);
   MatMulAtBInto(sf, sf, &ws.kk_b);
   MatMulInto(*hp, ws.kk_b, &ws.kk_c);
@@ -292,15 +297,20 @@ void UpdateHp(const SparseMatrix& xp, const DenseMatrix& sp,
 
 void UpdateHu(const SparseMatrix& xu, const DenseMatrix& su,
               const DenseMatrix& sf, DenseMatrix* hu, double eps,
-              UpdateWorkspace* workspace) {
+              UpdateWorkspace* workspace, const DenseMatrix* xu_sf) {
   TRICLUST_CHECK(hu != nullptr);
   UpdateWorkspace local;
   UpdateWorkspace& ws = workspace != nullptr ? *workspace : local;
   // With a workspace, every Xᵀ·D must ride the cached transpose; reaching
   // the serial SpTMM scatter under this scope is a loud failure.
   internal::ScopedForbidSpTMMScatter forbid_scatter(workspace != nullptr);
-  SpMMInto(xu, sf, &ws.rows_a);
-  MatMulAtBInto(su, ws.rows_a, &ws.numer);  // SuᵀXuSf
+  if (xu_sf == nullptr) {
+    SpMMInto(xu, sf, &ws.rows_a);
+    xu_sf = &ws.rows_a;
+  }
+  TRICLUST_CHECK_EQ(xu_sf->rows(), xu.rows());
+  TRICLUST_CHECK_EQ(xu_sf->cols(), sf.cols());
+  MatMulAtBInto(su, *xu_sf, &ws.numer);  // SuᵀXuSf
   MatMulAtBInto(su, su, &ws.kk_a);
   MatMulAtBInto(sf, sf, &ws.kk_b);
   MatMulInto(*hu, ws.kk_b, &ws.kk_c);
@@ -333,6 +343,9 @@ TriClusterResult RunSweeps(const DatasetMatrices& data,
     return loss.Total();
   };
 
+  // Xp·Sf (Xu·Sf) as UpdateSp (UpdateSu) left it; Sf is only updated last
+  // in the sweep, so it is still the product the H-rule would compute.
+  const DenseMatrix* x_sf = workspace != nullptr ? &workspace->x_sf : nullptr;
   double previous_total = record_loss();
   FactorSet last_finite = f;
   for (int iter = 0; iter < config.max_iterations; ++iter) {
@@ -342,12 +355,12 @@ TriClusterResult RunSweeps(const DatasetMatrices& data,
     UpdateSp(data.xp, data.xr, f.sf, f.hp, f.su, &f.sp, eps, config.sparsity,
              sp_pull != nullptr ? &sp_pull->weights : nullptr,
              sp_pull != nullptr ? &sp_pull->target : nullptr, workspace);
-    UpdateHp(data.xp, f.sp, f.sf, &f.hp, eps, workspace);
+    UpdateHp(data.xp, f.sp, f.sf, &f.hp, eps, workspace, x_sf);
     UpdateSu(data.xu, data.xr, data.gu, f.sf, f.hu, f.sp, config.beta,
              su_pull != nullptr ? &su_pull->weights : nullptr,
              su_pull != nullptr ? &su_pull->target : nullptr, &f.su, eps,
              config.sparsity, workspace);
-    UpdateHu(data.xu, f.su, f.sf, &f.hu, eps, workspace);
+    UpdateHu(data.xu, f.su, f.sf, &f.hu, eps, workspace, x_sf);
     UpdateSf(data.xp, data.xu, f.sp, f.su, f.hp, f.hu, alpha, sf_target,
              &f.sf, eps, config.sparsity, workspace);
 

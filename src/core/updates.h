@@ -41,8 +41,9 @@ namespace update {
 /// row-parallel SpMM over a transpose built once.
 ///
 /// A workspace may be shared by all five rules of a fit (they run
-/// sequentially and the scratch is overwritten per call) but must not be
-/// used from two threads at once, and the sparse matrices handed to the
+/// sequentially and the scratch is overwritten per call; only `x_sf`
+/// carries a product from an S-rule to the H-rule after it) but must not
+/// be used from two threads at once, and the sparse matrices handed to the
 /// rules must stay alive and unmodified while it caches their transposes.
 /// Passing no workspace (nullptr) makes a rule allocate locally — the
 /// historical behavior; results are bit-identical either way.
@@ -80,6 +81,14 @@ class UpdateWorkspace {
   DenseMatrix kk_a, kk_b, kk_c, kk_d, kk_e, kk_f;
   DenseMatrix delta, delta_pos, delta_neg;
   DenseMatrix numer, denom;
+
+  /// The S-rule → H-rule hand-off: UpdateSp leaves Xp·Sf here and UpdateSu
+  /// leaves Xu·Sf, and no rule overwrites it otherwise. Sf does not change
+  /// between an S-rule and the H-rule after it, so RunSweeps passes this
+  /// buffer as UpdateHp's `xp_sf` and UpdateHu's `xu_sf`: each sparse
+  /// product is computed once per sweep instead of twice, with the same
+  /// kernel on the same inputs, hence the same bits.
+  DenseMatrix x_sf;
 
  private:
   struct CachedTranspose {
@@ -122,25 +131,32 @@ void UpdateSu(const SparseMatrix& xu, const SparseMatrix& xr,
               double eps, double sparsity = 0.0,
               UpdateWorkspace* workspace = nullptr);
 
-/// Eq. (12)/(21): tweet-association update.
+/// Eq. (12)/(21): tweet-association update. `xp_sf`, when given, must be
+/// Xp·Sf for this `sf` (what UpdateSp leaves in UpdateWorkspace::x_sf);
+/// nullptr computes it. The result is bit-identical either way.
 void UpdateHp(const SparseMatrix& xp, const DenseMatrix& sp,
               const DenseMatrix& sf, DenseMatrix* hp, double eps,
-              UpdateWorkspace* workspace = nullptr);
+              UpdateWorkspace* workspace = nullptr,
+              const DenseMatrix* xp_sf = nullptr);
 
-/// Eq. (13)/(20): user-association update.
+/// Eq. (13)/(20): user-association update. `xu_sf` is Xu·Sf or nullptr, as
+/// for UpdateHp.
 void UpdateHu(const SparseMatrix& xu, const DenseMatrix& su,
               const DenseMatrix& sf, DenseMatrix* hu, double eps,
-              UpdateWorkspace* workspace = nullptr);
+              UpdateWorkspace* workspace = nullptr,
+              const DenseMatrix* xu_sf = nullptr);
 
 /// The multiplicative loop shared by offline Algorithm 1 and the online
 /// snapshot solve (Algorithm 2 lines 3–8). Starting from `factors`, each
 /// sweep applies UpdateSp, UpdateHp, UpdateSu, UpdateHu and UpdateSf in
-/// that order and then evaluates the objective (ComputeObjective against
-/// `sf_target`/`alpha`, plus the pull losses). It stops when the relative
-/// objective change drops below `config.tolerance` (converged), after
-/// `config.max_iterations` sweeps, or when the objective turns non-finite —
-/// then the diverged sweep is discarded, its loss entry dropped, and the
-/// last finite iterate returned. `iterations` counts the discarded sweep.
+/// that order — UpdateHp/UpdateHu reuse the X·Sf product their S-rule
+/// left in the workspace — and then evaluates the objective
+/// (ComputeObjective against `sf_target`/`alpha`, plus the pull losses).
+/// It stops when the relative objective change drops below
+/// `config.tolerance` (converged), after `config.max_iterations` sweeps, or
+/// when the objective turns non-finite — then the diverged sweep is
+/// discarded, its loss entry dropped, and the last finite iterate returned.
+/// `iterations` counts the discarded sweep.
 ///
 /// `sp_pull`/`su_pull` optionally add a per-row pull on Sp/Su (nullptr =
 /// none). The Sp pull's loss is reported in `guided_loss`; the Su pull's in

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/matrix/kernels.h"
 
@@ -129,99 +130,124 @@ double GenericSpCrossRows(const size_t* row_ptr, const uint32_t* col_idx,
 /// Fixed-k bodies: identical statement sequence per output element, with K
 /// a compile-time constant so the accumulators live in registers for the
 /// whole row (the generic loops must round-trip every += through memory —
-/// the compiler cannot prove the output does not alias the inputs). The
-/// inner loops below fully unroll at K ∈ {2,3,4}.
+/// the compiler cannot prove the output does not alias the inputs).
+///
+/// Register residency is explicit, not left to the optimizer: every K loop
+/// is a pack expansion over std::index_sequence<0, …, K−1>, i.e.
+/// straight-line code whose array indices are all constants, so the small
+/// accumulator/operand arrays are scalarized into registers at -O2 as at
+/// -O3. (Written as `for (j < K)` loops they unroll only at -O3 with
+/// GCC 12; at the -O2 of the default RelWithDebInfo build they stayed
+/// rolled and kept the arrays in stack memory.) Comma folds evaluate left
+/// to right, so each output element still sees the generic loop's order.
 
 namespace {
 
 template <size_t K>
+using Seq = std::make_index_sequence<K>;
+
+template <size_t K, size_t... J>
+void LoadRow(const double* src, double (&dst)[K], std::index_sequence<J...>) {
+  ((dst[J] = src[J]), ...);
+}
+
+template <size_t K, size_t... J>
+void StoreRow(const double (&src)[K], double* dst, std::index_sequence<J...>) {
+  ((dst[J] = src[J]), ...);
+}
+
+/// y += av·x, skipped when av is 0 — the `av == 0.0` skip of the generic
+/// AtB and MatMul loops, which keeps 0·inf/NaN out of the sums.
+template <size_t K, size_t... J>
+void AxpyUnlessZero(double av, const double (&x)[K], double (&y)[K],
+                    std::index_sequence<J...>) {
+  if (av == 0.0) return;
+  ((y[J] += av * x[J]), ...);
+}
+
+template <size_t... J>
 void SpMMRowsFixed(const size_t* row_ptr, const uint32_t* col_idx,
                    const double* values, const double* d, double* c,
-                   size_t row_begin, size_t row_end) {
+                   size_t row_begin, size_t row_end,
+                   std::index_sequence<J...> seq) {
+  constexpr size_t K = sizeof...(J);
   for (size_t i = row_begin; i < row_end; ++i) {
-    double acc[K];
-    for (size_t j = 0; j < K; ++j) acc[j] = 0.0;
+    double acc[K] = {};
     for (size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
       const double v = values[p];
       const double* drow = d + static_cast<size_t>(col_idx[p]) * K;
-      for (size_t j = 0; j < K; ++j) acc[j] += v * drow[j];
+      ((acc[J] += v * drow[J]), ...);
     }
-    double* crow = c + i * K;
-    for (size_t j = 0; j < K; ++j) crow[j] = acc[j];
+    StoreRow(acc, c + i * K, seq);
   }
 }
 
-template <size_t K>
+template <size_t... I>
 void AtBAccumulateFixed(const double* a, const double* b, size_t p_begin,
-                        size_t p_end, double* out) {
-  // The K×K product is registers-resident: load once, accumulate across
+                        size_t p_end, double* out,
+                        std::index_sequence<I...> seq) {
+  constexpr size_t K = sizeof...(I);
+  // The K×K product is register-resident: load once, accumulate across
   // the whole row range, store once.
   double acc[K][K];
-  for (size_t i = 0; i < K; ++i) {
-    for (size_t j = 0; j < K; ++j) acc[i][j] = out[i * K + j];
-  }
+  (LoadRow(out + I * K, acc[I], seq), ...);
   for (size_t p = p_begin; p < p_end; ++p) {
     const double* arow = a + p * K;
-    const double* brow = b + p * K;
-    for (size_t i = 0; i < K; ++i) {
-      const double av = arow[i];
-      if (av == 0.0) continue;
-      for (size_t j = 0; j < K; ++j) acc[i][j] += av * brow[j];
-    }
+    const double* bp = b + p * K;
+    const double brow[K] = {bp[I]...};
+    (AxpyUnlessZero(arow[I], brow, acc[I], seq), ...);
   }
-  for (size_t i = 0; i < K; ++i) {
-    for (size_t j = 0; j < K; ++j) out[i * K + j] = acc[i][j];
-  }
+  (StoreRow(acc[I], out + I * K, seq), ...);
 }
 
-template <size_t K>
+template <size_t... P>
 void MatMulRowsFixed(const double* a, const double* b, double* c,
-                     size_t row_begin, size_t row_end) {
+                     size_t row_begin, size_t row_end,
+                     std::index_sequence<P...> seq) {
+  constexpr size_t K = sizeof...(P);
+  // The K×K right operand is read once per call, not once per row.
+  double bk[K][K];
+  (LoadRow(b + P * K, bk[P], seq), ...);
   for (size_t i = row_begin; i < row_end; ++i) {
     const double* arow = a + i * K;
-    double acc[K];
-    for (size_t j = 0; j < K; ++j) acc[j] = 0.0;
-    for (size_t p = 0; p < K; ++p) {
-      const double av = arow[p];
-      if (av == 0.0) continue;
-      const double* brow = b + p * K;
-      for (size_t j = 0; j < K; ++j) acc[j] += av * brow[j];
-    }
-    double* crow = c + i * K;
-    for (size_t j = 0; j < K; ++j) crow[j] = acc[j];
+    double acc[K] = {};
+    (AxpyUnlessZero(arow[P], bk[P], acc, seq), ...);
+    StoreRow(acc, c + i * K, seq);
   }
 }
 
-template <size_t K>
+template <size_t... P>
 void ABtRowsFixed(const double* a, const double* b, size_t b_rows, double* c,
-                  size_t row_begin, size_t row_end) {
+                  size_t row_begin, size_t row_end,
+                  std::index_sequence<P...>) {
+  constexpr size_t K = sizeof...(P);
   for (size_t i = row_begin; i < row_end; ++i) {
     const double* arow = a + i * K;
-    double ar[K];
-    for (size_t p = 0; p < K; ++p) ar[p] = arow[p];
+    const double ar[K] = {arow[P]...};
     double* crow = c + i * b_rows;
     for (size_t j = 0; j < b_rows; ++j) {
       const double* brow = b + j * K;
       double dot = 0.0;
-      for (size_t p = 0; p < K; ++p) dot += ar[p] * brow[p];
+      ((dot += ar[P] * brow[P]), ...);
       crow[j] = dot;
     }
   }
 }
 
-template <size_t K>
+template <size_t... C>
 double SpCrossRowsFixed(const size_t* row_ptr, const uint32_t* col_idx,
                         const double* values, const double* u,
-                        const double* v, size_t row_begin, size_t row_end) {
+                        const double* v, size_t row_begin, size_t row_end,
+                        std::index_sequence<C...>) {
+  constexpr size_t K = sizeof...(C);
   double total = 0.0;
   for (size_t i = row_begin; i < row_end; ++i) {
     const double* urow = u + i * K;
-    double ur[K];
-    for (size_t c = 0; c < K; ++c) ur[c] = urow[c];
+    const double ur[K] = {urow[C]...};
     for (size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
       const double* vrow = v + static_cast<size_t>(col_idx[p]) * K;
       double dot = 0.0;
-      for (size_t c = 0; c < K; ++c) dot += ur[c] * vrow[c];
+      ((dot += ur[C] * vrow[C]), ...);
       total += values[p] * dot;
     }
   }
@@ -233,75 +259,78 @@ double SpCrossRowsFixed(const size_t* row_ptr, const uint32_t* col_idx,
 void SpMMRowsK2(const size_t* row_ptr, const uint32_t* col_idx,
                 const double* values, const double* d, size_t, double* c,
                 size_t row_begin, size_t row_end) {
-  SpMMRowsFixed<2>(row_ptr, col_idx, values, d, c, row_begin, row_end);
+  SpMMRowsFixed(row_ptr, col_idx, values, d, c, row_begin, row_end,
+                Seq<2>());
 }
 void SpMMRowsK3(const size_t* row_ptr, const uint32_t* col_idx,
                 const double* values, const double* d, size_t, double* c,
                 size_t row_begin, size_t row_end) {
-  SpMMRowsFixed<3>(row_ptr, col_idx, values, d, c, row_begin, row_end);
+  SpMMRowsFixed(row_ptr, col_idx, values, d, c, row_begin, row_end,
+                Seq<3>());
 }
 void SpMMRowsK4(const size_t* row_ptr, const uint32_t* col_idx,
                 const double* values, const double* d, size_t, double* c,
                 size_t row_begin, size_t row_end) {
-  SpMMRowsFixed<4>(row_ptr, col_idx, values, d, c, row_begin, row_end);
+  SpMMRowsFixed(row_ptr, col_idx, values, d, c, row_begin, row_end,
+                Seq<4>());
 }
 
 void AtBAccumulateK2(const double* a, size_t, const double* b, size_t,
                      size_t p_begin, size_t p_end, double* out) {
-  AtBAccumulateFixed<2>(a, b, p_begin, p_end, out);
+  AtBAccumulateFixed(a, b, p_begin, p_end, out, Seq<2>());
 }
 void AtBAccumulateK3(const double* a, size_t, const double* b, size_t,
                      size_t p_begin, size_t p_end, double* out) {
-  AtBAccumulateFixed<3>(a, b, p_begin, p_end, out);
+  AtBAccumulateFixed(a, b, p_begin, p_end, out, Seq<3>());
 }
 void AtBAccumulateK4(const double* a, size_t, const double* b, size_t,
                      size_t p_begin, size_t p_end, double* out) {
-  AtBAccumulateFixed<4>(a, b, p_begin, p_end, out);
+  AtBAccumulateFixed(a, b, p_begin, p_end, out, Seq<4>());
 }
 
 void MatMulRowsK2(const double* a, size_t, const double* b, size_t, double* c,
                   size_t row_begin, size_t row_end) {
-  MatMulRowsFixed<2>(a, b, c, row_begin, row_end);
+  MatMulRowsFixed(a, b, c, row_begin, row_end, Seq<2>());
 }
 void MatMulRowsK3(const double* a, size_t, const double* b, size_t, double* c,
                   size_t row_begin, size_t row_end) {
-  MatMulRowsFixed<3>(a, b, c, row_begin, row_end);
+  MatMulRowsFixed(a, b, c, row_begin, row_end, Seq<3>());
 }
 void MatMulRowsK4(const double* a, size_t, const double* b, size_t, double* c,
                   size_t row_begin, size_t row_end) {
-  MatMulRowsFixed<4>(a, b, c, row_begin, row_end);
+  MatMulRowsFixed(a, b, c, row_begin, row_end, Seq<4>());
 }
 
 void ABtRowsK2(const double* a, size_t, const double* b, size_t b_rows,
                double* c, size_t row_begin, size_t row_end) {
-  ABtRowsFixed<2>(a, b, b_rows, c, row_begin, row_end);
+  ABtRowsFixed(a, b, b_rows, c, row_begin, row_end, Seq<2>());
 }
 void ABtRowsK3(const double* a, size_t, const double* b, size_t b_rows,
                double* c, size_t row_begin, size_t row_end) {
-  ABtRowsFixed<3>(a, b, b_rows, c, row_begin, row_end);
+  ABtRowsFixed(a, b, b_rows, c, row_begin, row_end, Seq<3>());
 }
 void ABtRowsK4(const double* a, size_t, const double* b, size_t b_rows,
                double* c, size_t row_begin, size_t row_end) {
-  ABtRowsFixed<4>(a, b, b_rows, c, row_begin, row_end);
+  ABtRowsFixed(a, b, b_rows, c, row_begin, row_end, Seq<4>());
 }
 
 double SpCrossRowsK2(const size_t* row_ptr, const uint32_t* col_idx,
                      const double* values, const double* u, const double* v,
                      size_t, size_t row_begin, size_t row_end) {
-  return SpCrossRowsFixed<2>(row_ptr, col_idx, values, u, v, row_begin,
-                             row_end);
+  return SpCrossRowsFixed(row_ptr, col_idx, values, u, v, row_begin,
+                          row_end, Seq<2>());
 }
 double SpCrossRowsK3(const size_t* row_ptr, const uint32_t* col_idx,
                      const double* values, const double* u, const double* v,
                      size_t, size_t row_begin, size_t row_end) {
-  return SpCrossRowsFixed<3>(row_ptr, col_idx, values, u, v, row_begin,
-                             row_end);
+  return SpCrossRowsFixed(row_ptr, col_idx, values, u, v, row_begin,
+                          row_end, Seq<3>());
 }
 double SpCrossRowsK4(const size_t* row_ptr, const uint32_t* col_idx,
                      const double* values, const double* u, const double* v,
                      size_t, size_t row_begin, size_t row_end) {
-  return SpCrossRowsFixed<4>(row_ptr, col_idx, values, u, v, row_begin,
-                             row_end);
+  return SpCrossRowsFixed(row_ptr, col_idx, values, u, v, row_begin,
+                          row_end, Seq<4>());
 }
 
 /// L2-blocked generic MatMul. The plain loop streams all p_dim rows of b

@@ -5,6 +5,16 @@
 #include "src/matrix/dense_matrix.h"
 
 namespace triclust {
+namespace {
+
+/// Σ v² in storage order — the one loop behind FrobeniusNormSquared().
+double SumOfSquares(const std::vector<double>& values) {
+  double total = 0.0;
+  for (double v : values) total += v * v;
+  return total;
+}
+
+}  // namespace
 
 SparseMatrix::Builder::Builder(size_t rows, size_t cols)
     : rows_(rows), cols_(cols) {}
@@ -49,6 +59,7 @@ SparseMatrix SparseMatrix::Builder::Build() {
     out.row_ptr_[r + 1] += out.row_ptr_[r];
   }
   entries_.clear();
+  out.frobenius_norm_squared_ = SumOfSquares(out.values_);
   return out;
 }
 
@@ -83,12 +94,6 @@ double SparseMatrix::Sum() const {
   return total;
 }
 
-double SparseMatrix::FrobeniusNormSquared() const {
-  double total = 0.0;
-  for (double v : values_) total += v * v;
-  return total;
-}
-
 SparseMatrix SparseMatrix::Transposed() const {
   SparseMatrix out;
   out.rows_ = cols_;
@@ -109,6 +114,7 @@ SparseMatrix SparseMatrix::Transposed() const {
       out.values_[dst] = values_[p];
     }
   }
+  out.frobenius_norm_squared_ = SumOfSquares(out.values_);
   return out;
 }
 
@@ -132,6 +138,7 @@ SparseMatrix SparseMatrix::SelectRows(
       out.values_.push_back(values_[p]);
     }
   }
+  out.frobenius_norm_squared_ = SumOfSquares(out.values_);
   return out;
 }
 

@@ -79,8 +79,10 @@ class SparseMatrix {
   /// Sum over all stored values.
   double Sum() const;
 
-  /// Σ v² over stored values, i.e. ||X||²F.
-  double FrobeniusNormSquared() const;
+  /// Σ v² over stored values in storage order, i.e. ||X||²F. The matrix is
+  /// immutable, so the sum is taken once when it is built (Builder::Build,
+  /// Transposed, SelectRows) and the objective's ||X||² terms cost O(1).
+  double FrobeniusNormSquared() const { return frobenius_norm_squared_; }
 
   /// Transposed copy (CSR of the transpose, built in O(nnz)).
   SparseMatrix Transposed() const;
@@ -104,6 +106,7 @@ class SparseMatrix {
   std::vector<size_t> row_ptr_;
   std::vector<uint32_t> col_idx_;
   std::vector<double> values_;
+  double frobenius_norm_squared_ = 0.0;
 };
 
 }  // namespace triclust

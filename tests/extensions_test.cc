@@ -162,22 +162,13 @@ double ReferenceSeedLoss(const ReferencePull& pull, const DenseMatrix& s) {
   return total;
 }
 
-bool LossBitEqual(const LossComponents& a, const LossComponents& b) {
-  using testing_util::BitEqual;
-  return BitEqual(a.xp_loss, b.xp_loss) && BitEqual(a.xu_loss, b.xu_loss) &&
-         BitEqual(a.xr_loss, b.xr_loss) &&
-         BitEqual(a.lexicon_loss, b.lexicon_loss) &&
-         BitEqual(a.graph_loss, b.graph_loss) &&
-         BitEqual(a.temporal_user_loss, b.temporal_user_loss) &&
-         BitEqual(a.guided_loss, b.guided_loss);
-}
-
 /// A guided fit with tweet and user seeds is bitwise equal to Algorithm 1
 /// written out from the public update rules: the five updates in order,
 /// the objective plus both seed losses in guided_loss, and the relative
 /// tolerance stop.
 TEST(GuidedTest, GuidedFitMatchesReferenceLoopBitwise) {
   using testing_util::BitEqual;
+  using testing_util::LossBitEqual;
   const auto p = MakeSmallProblem();
   TriClusterConfig config;
   config.max_iterations = 100;

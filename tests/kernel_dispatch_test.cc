@@ -188,6 +188,56 @@ TEST_P(KernelEquivalenceTest, MatMulABtMatchesReference) {
   }
 }
 
+/// The fixed-k bodies of MatMul, MatMulABt and the FactorizationLoss cross
+/// term at k ∈ {2, 3, 4}, on a row count that is a multiple of no grain
+/// (kMinRowsToParallelize, kReduceRowGrain, kReduceFlatGrain) and split
+/// over three threads, so ranges start mid-matrix and end ragged. `a`
+/// holds exact zeros facing an infinite entry of the right operand: the
+/// generic `av == 0.0` skip keeps those rows finite, and a body that drops
+/// the skip turns them into NaN.
+TEST_P(KernelEquivalenceTest, FixedKBodiesKeepZeroSkipOnRaggedRows) {
+  const ModeCase mode = GetParam();
+  const size_t rows = kReduceRowGrain + 77;
+  Rng rng(18);
+  for (const size_t k : {2u, 3u, 4u}) {
+    DenseMatrix a = MixedDense(rows, k, &rng);
+    a(5, 1) = 0.0;
+    for (size_t c = 0; c < k; ++c) a(6, c) = 0.0;
+    DenseMatrix b = MixedDense(k, k, &rng);
+    b(1, 0) = std::numeric_limits<double>::infinity();
+    const DenseMatrix bt = MixedDense(29, k, &rng);
+    const SparseMatrix x = RandomSparse(rows, 90, 0.07, &rng);
+    DenseMatrix u = testing_util::RandomPositive(rows, k, &rng);
+    u(5, 1) = 0.0;
+    const DenseMatrix v = testing_util::RandomPositive(90, k, &rng);
+
+    DenseMatrix want_mm, want_abt;
+    double want_loss;
+    {
+      ScopedKernelMode scalar(KernelMode::kScalar);
+      MatMulInto(a, b, &want_mm);
+      MatMulABtInto(a, bt, &want_abt);
+      want_loss = FactorizationLossSquared(x, u, v);
+    }
+    ASSERT_TRUE(std::isfinite(want_mm(5, 0)));
+
+    ScopedKernelMode scope(mode.mode);
+    const ScopedThreadBudget threads{ThreadBudget(3)};
+    DenseMatrix got_mm, got_abt;
+    MatMulInto(a, b, &got_mm);
+    MatMulABtInto(a, bt, &got_abt);
+    ExpectBitEqual(got_mm, want_mm, "MatMul zero skip");
+    ExpectBitEqual(got_abt, want_abt, "MatMulABt ragged");
+    const double got_loss = FactorizationLossSquared(x, u, v);
+    if (mode.bitwise) {
+      EXPECT_EQ(got_loss, want_loss) << "k=" << k;
+    } else {
+      EXPECT_NEAR(got_loss, want_loss, 1e-9 * (1.0 + std::fabs(want_loss)))
+          << "k=" << k;
+    }
+  }
+}
+
 TEST_P(KernelEquivalenceTest, ReductionsMatchReference) {
   const ModeCase mode = GetParam();
   Rng rng(15);

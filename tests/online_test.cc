@@ -1,13 +1,16 @@
 #include "src/core/online.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
 
+#include "src/core/objective.h"
 #include "src/core/offline.h"
 #include "src/core/snapshot_solver.h"
+#include "src/core/updates.h"
 #include "src/data/snapshots.h"
 #include "src/eval/metrics.h"
 #include "src/matrix/ops.h"
@@ -307,6 +310,117 @@ TEST(OnlineTest, DivergenceRestoresLastFiniteIterateAndRollsForward) {
   ASSERT_TRUE(diverged_state.Write(&diverged_bytes).ok());
   ASSERT_TRUE(capped_state.Write(&capped_bytes).ok());
   EXPECT_EQ(diverged_bytes.str(), capped_bytes.str());
+}
+
+/// A snapshot fit with the temporal Su pull active is bitwise equal to
+/// Algorithm 2's loop written out from the public update rules, each called
+/// without the X·Sf product the shared loop hands from an S-rule to its
+/// H-rule: the five updates in order, the objective with the temporal term,
+/// and the relative tolerance stop. Factors, iterations and every loss
+/// entry must match — the assumption an outside re-implementation of the
+/// loop (perfbench's mirror) relies on.
+TEST(OnlineTest, SnapshotFitMatchesReferenceLoopBitwise) {
+  using testing_util::BitEqual;
+  using testing_util::LossBitEqual;
+  const auto f = MakeFixture();
+  const Corpus& corpus = f.problem.dataset.corpus;
+  OnlineConfig config = FastOnlineConfig();
+  config.base.max_iterations = 100;
+  config.base.tolerance = 1e-4;
+  config.base.track_loss = true;
+  const SnapshotSolver solver(config, f.problem.sf0);
+
+  StreamState state;
+  (void)solver.Solve(
+      f.problem.builder.Build(corpus, f.snapshots[0].tweet_ids, 0), &state);
+  const DatasetMatrices d =
+      f.problem.builder.Build(corpus, f.snapshots[1].tweet_ids, 1);
+
+  StreamState fit_state = state;
+  const TriClusterResult fit = solver.Solve(d, &fit_state);
+
+  // The solver's own initialization and Sfw target: a zero-sweep solve of
+  // the same snapshot from the same state returns them.
+  OnlineConfig init_config = config;
+  init_config.base.max_iterations = 0;
+  StreamState init_state = state;
+  SnapshotSolver::SolveInfo info;
+  const TriClusterResult init =
+      SnapshotSolver(init_config, f.problem.sf0).Solve(d, &init_state, &info);
+  ASSERT_EQ(init.iterations, 0);
+
+  // Suw(t): each evolving user's τ-decayed history, row-normalized, pulled
+  // with weight γ; new users get no pull.
+  const size_t m = d.num_users();
+  const size_t k = static_cast<size_t>(config.base.num_clusters);
+  ASSERT_FALSE(info.partition.evolving_rows.empty());
+  std::vector<double> weights(m, 0.0);
+  DenseMatrix suw(m, k, 0.0);
+  for (size_t j : info.partition.evolving_rows) {
+    double weight = config.tau;
+    for (const std::vector<double>& row :
+         state.user_history.at(d.user_ids[j])) {
+      for (size_t c = 0; c < k; ++c) suw(j, c) += weight * row[c];
+      weight *= config.tau;
+    }
+    double row_sum = 0.0;
+    for (size_t c = 0; c < k; ++c) row_sum += suw(j, c);
+    for (size_t c = 0; c < k; ++c) {
+      suw(j, c) = row_sum > 0.0 ? suw(j, c) / row_sum
+                                : 1.0 / static_cast<double>(k);
+    }
+    weights[j] = config.gamma;
+  }
+
+  const TriClusterConfig& base = config.base;
+  const DenseMatrix& sfw = info.sfw;
+  update::UpdateWorkspace ws;
+  FactorSet fs{init.sp, init.su, init.sf, init.hp, init.hu};
+  std::vector<LossComponents> history;
+  auto record = [&]() -> double {
+    history.push_back(ComputeObjective(d.xp, d.xu, d.xr, d.gu, fs.sp, fs.su,
+                                       fs.sf, fs.hp, fs.hu, config.alpha,
+                                       sfw, base.beta, &weights, &suw));
+    return history.back().Total();
+  };
+  const double eps = base.epsilon;
+  double previous = record();
+  int iterations = 0;
+  bool converged = false;
+  for (int iter = 0; iter < base.max_iterations; ++iter) {
+    update::UpdateSp(d.xp, d.xr, fs.sf, fs.hp, fs.su, &fs.sp, eps,
+                     base.sparsity, nullptr, nullptr, &ws);
+    update::UpdateHp(d.xp, fs.sp, fs.sf, &fs.hp, eps, &ws);
+    update::UpdateSu(d.xu, d.xr, d.gu, fs.sf, fs.hu, fs.sp, base.beta,
+                     &weights, &suw, &fs.su, eps, base.sparsity, &ws);
+    update::UpdateHu(d.xu, fs.su, fs.sf, &fs.hu, eps, &ws);
+    update::UpdateSf(d.xp, d.xu, fs.sp, fs.su, fs.hp, fs.hu, config.alpha,
+                     sfw, &fs.sf, eps, base.sparsity, &ws);
+    iterations = iter + 1;
+    const double total = record();
+    ASSERT_TRUE(std::isfinite(total));
+    if (std::fabs(previous - total) / std::max(previous, 1e-30) <
+        base.tolerance) {
+      converged = true;
+      break;
+    }
+    previous = total;
+  }
+
+  ASSERT_TRUE(converged);
+  EXPECT_EQ(fit.iterations, iterations);
+  EXPECT_EQ(fit.converged, converged);
+  EXPECT_TRUE(BitEqual(fit.sp, fs.sp));
+  EXPECT_TRUE(BitEqual(fit.su, fs.su));
+  EXPECT_TRUE(BitEqual(fit.sf, fs.sf));
+  EXPECT_TRUE(BitEqual(fit.hp, fs.hp));
+  EXPECT_TRUE(BitEqual(fit.hu, fs.hu));
+  ASSERT_EQ(fit.loss_history.size(), history.size());
+  for (size_t i = 0; i < history.size(); ++i) {
+    EXPECT_TRUE(LossBitEqual(fit.loss_history[i], history[i]))
+        << "loss entry " << i;
+  }
+  EXPECT_GT(history.back().temporal_user_loss, 0.0);
 }
 
 TEST(OnlineTest, RejectsMismatchedFeatureSpace) {

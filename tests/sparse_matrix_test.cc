@@ -115,6 +115,58 @@ TEST(SparseMatrixTest, FromDenseTolerance) {
   EXPECT_DOUBLE_EQ(s.At(0, 1), 1.0);
 }
 
+/// Σ v² over the stored values in storage order, summed afresh — what
+/// FrobeniusNormSquared() must return bit for bit from its cache.
+double FreshSumOfSquares(const SparseMatrix& m) {
+  double total = 0.0;
+  for (double v : m.values()) total += v * v;
+  return total;
+}
+
+TEST(SparseMatrixTest, CachedFrobeniusNormMatchesFreshSumBitwise) {
+  using testing_util::BitEqual;
+  EXPECT_TRUE(BitEqual(SparseMatrix().FrobeniusNormSquared(), 0.0));
+
+  // Random rows 0..36 with colliding (coalesced) entries; rows 37..39 hold
+  // a hand-made duplicate pair and a pair cancelling to an exact zero.
+  Rng rng(7);
+  SparseMatrix::Builder builder(40, 23);
+  for (int e = 0; e < 400; ++e) {
+    builder.Add(rng.NextUint64Below(37), rng.NextUint64Below(23),
+                rng.Uniform(-3.0, 3.0));
+  }
+  builder.Add(37, 2, 0.1);
+  builder.Add(37, 2, 0.2);
+  builder.Add(38, 1, 0.7);
+  builder.Add(38, 1, -0.7);
+  builder.Add(39, 22, 1.0 / 3.0);
+  const SparseMatrix built = builder.Build();
+  ASSERT_LT(built.nnz(), 400u + 6u);  // duplicates coalesced
+  EXPECT_EQ(built.RowNnz(38), 0u);    // the cancelled pair was dropped
+  EXPECT_TRUE(BitEqual(built.At(37, 2), 0.1 + 0.2));
+  EXPECT_GT(built.FrobeniusNormSquared(), 0.0);
+  EXPECT_TRUE(
+      BitEqual(built.FrobeniusNormSquared(), FreshSumOfSquares(built)));
+
+  // The transpose stores the values in a different order; its norm is the
+  // sum in that order.
+  const SparseMatrix transposed = built.Transposed();
+  EXPECT_TRUE(BitEqual(transposed.FrobeniusNormSquared(),
+                       FreshSumOfSquares(transposed)));
+
+  const SparseMatrix selected = built.SelectRows({36, 0, 39, 36, 38, 5});
+  EXPECT_TRUE(BitEqual(selected.FrobeniusNormSquared(),
+                       FreshSumOfSquares(selected)));
+  EXPECT_TRUE(BitEqual(SparseMatrix().SelectRows({}).FrobeniusNormSquared(),
+                       0.0));
+
+  const SparseMatrix from_dense =
+      SparseMatrix::FromDense(built.ToDense(), 0.5);
+  ASSERT_LT(from_dense.nnz(), built.nnz());
+  EXPECT_TRUE(BitEqual(from_dense.FrobeniusNormSquared(),
+                       FreshSumOfSquares(from_dense)));
+}
+
 /// CSR structural invariants on random instances (property test).
 class SparseInvariantTest : public ::testing::TestWithParam<int> {};
 

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <vector>
 
+#include "src/core/result.h"
 #include "src/data/matrix_builder.h"
 #include "src/data/synthetic.h"
 #include "src/matrix/dense_matrix.h"
@@ -86,6 +87,16 @@ inline bool BitEqual(double a, double b) {
 inline bool BitEqual(const DenseMatrix& a, const DenseMatrix& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Bitwise equality of every loss component.
+inline bool LossBitEqual(const LossComponents& a, const LossComponents& b) {
+  return BitEqual(a.xp_loss, b.xp_loss) && BitEqual(a.xu_loss, b.xu_loss) &&
+         BitEqual(a.xr_loss, b.xr_loss) &&
+         BitEqual(a.lexicon_loss, b.lexicon_loss) &&
+         BitEqual(a.graph_loss, b.graph_loss) &&
+         BitEqual(a.temporal_user_loss, b.temporal_user_loss) &&
+         BitEqual(a.guided_loss, b.guided_loss);
 }
 
 /// Copy of `x` whose first stored entry is replaced by `value`.

@@ -169,6 +169,44 @@ TEST_P(UpdateRuleTest, TemporalSuUpdateNonIncreasingObjective) {
   }
 }
 
+TEST_P(UpdateRuleTest, HRulesGivenTheProductMatchComputingItBitwise) {
+  // RunSweeps hands UpdateHp/UpdateHu the X·Sf product their S-rule left
+  // in the workspace. That must give the bits of the rule computing the
+  // product itself, with or without a workspace of its own.
+  using testing_util::BitEqual;
+  Instance inst = MakeInstance(GetParam() + 300);
+  update::UpdateWorkspace ws;
+
+  update::UpdateSp(inst.xp, inst.xr, inst.sf, inst.hp, inst.su, &inst.sp,
+                   kEps, 0.0, nullptr, nullptr, &ws);
+  ASSERT_TRUE(BitEqual(ws.x_sf, SpMM(inst.xp, inst.sf)));
+  DenseMatrix hp_given = inst.hp;
+  DenseMatrix hp_own_ws = inst.hp;
+  DenseMatrix hp_no_ws = inst.hp;
+  update::UpdateHp(inst.xp, inst.sp, inst.sf, &hp_given, kEps, &ws,
+                   &ws.x_sf);
+  update::UpdateWorkspace other;
+  update::UpdateHp(inst.xp, inst.sp, inst.sf, &hp_own_ws, kEps, &other);
+  update::UpdateHp(inst.xp, inst.sp, inst.sf, &hp_no_ws, kEps);
+  EXPECT_TRUE(BitEqual(hp_given, hp_own_ws));
+  EXPECT_TRUE(BitEqual(hp_given, hp_no_ws));
+  EXPECT_FALSE(BitEqual(hp_given, inst.hp));  // the step moved Hp
+
+  update::UpdateSu(inst.xu, inst.xr, inst.gu, inst.sf, inst.hu, inst.sp,
+                   inst.beta, nullptr, nullptr, &inst.su, kEps, 0.0, &ws);
+  ASSERT_TRUE(BitEqual(ws.x_sf, SpMM(inst.xu, inst.sf)));
+  DenseMatrix hu_given = inst.hu;
+  DenseMatrix hu_own_ws = inst.hu;
+  DenseMatrix hu_no_ws = inst.hu;
+  update::UpdateHu(inst.xu, inst.su, inst.sf, &hu_given, kEps, &ws,
+                   &ws.x_sf);
+  update::UpdateHu(inst.xu, inst.su, inst.sf, &hu_own_ws, kEps, &other);
+  update::UpdateHu(inst.xu, inst.su, inst.sf, &hu_no_ws, kEps);
+  EXPECT_TRUE(BitEqual(hu_given, hu_own_ws));
+  EXPECT_TRUE(BitEqual(hu_given, hu_no_ws));
+  EXPECT_FALSE(BitEqual(hu_given, inst.hu));
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomInstances, UpdateRuleTest,
                          ::testing::Range<uint64_t>(0, 8));
 
