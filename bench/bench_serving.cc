@@ -4,16 +4,23 @@
 /// every fit's kernels at width 1 (campaign-tier sharding). Per-campaign
 /// results are bit-identical at every setting (width-invariant kernels).
 ///
-/// Also reports the incremental-ingestion path in isolation: Append+Emit
-/// versus re-running MatrixBuilder::Build per snapshot.
+/// Also reports the incremental-ingestion path in isolation (Append+Emit
+/// versus re-running MatrixBuilder::Build per snapshot) and the checkpoint
+/// path of a served fleet (CampaignStore Save/Restore, StreamState::Write
+/// throughput).
 ///
 /// Accepts the google-benchmark flag surface (see bench/bench_flags.h):
 /// --benchmark_min_time=0.01x scales solver iterations down for CI smoke
 /// runs, --benchmark_format=json / --benchmark_out=... emit a JSON report.
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <iostream>
+#include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -21,6 +28,7 @@
 #include "bench/bench_util.h"
 #include "src/data/snapshots.h"
 #include "src/serving/campaign_engine.h"
+#include "src/serving/campaign_store.h"
 #include "src/util/stopwatch.h"
 #include "src/util/table_writer.h"
 
@@ -60,17 +68,21 @@ OnlineConfig ServingConfig(const bench_flags::Flags& flags) {
   return config;
 }
 
-/// Streams every campaign through one engine; returns elapsed seconds.
-double RunFleet(std::vector<CampaignData>& campaigns, int num_threads,
-                const bench_flags::Flags& flags) {
-  serving::CampaignEngine::Options options;
-  options.num_threads = num_threads;
-  serving::CampaignEngine engine(options);
+/// Registers every campaign with `engine` under a positional name.
+void RegisterFleet(std::vector<CampaignData>& campaigns,
+                   const bench_flags::Flags& flags,
+                   serving::CampaignEngine* engine) {
   for (CampaignData& c : campaigns) {
-    engine.AddCampaign("campaign-" + std::to_string(engine.num_campaigns()),
-                       ServingConfig(flags), c.sf0, c.builder,
-                       &c.dataset.corpus).ValueOrDie();
+    engine->AddCampaign("campaign-" + std::to_string(engine->num_campaigns()),
+                        ServingConfig(flags), c.sf0, c.builder,
+                        &c.dataset.corpus).ValueOrDie();
   }
+}
+
+/// Feeds every campaign's days through `engine`, one Advance() per day;
+/// returns elapsed seconds.
+double ServeAllDays(const std::vector<CampaignData>& campaigns,
+                    serving::CampaignEngine* engine) {
   size_t max_days = 0;
   for (const CampaignData& c : campaigns) {
     max_days = std::max(max_days, c.days.size());
@@ -79,13 +91,23 @@ double RunFleet(std::vector<CampaignData>& campaigns, int num_threads,
   for (size_t day = 0; day < max_days; ++day) {
     for (size_t i = 0; i < campaigns.size(); ++i) {
       if (day < campaigns[i].days.size()) {
-        engine.Ingest(i, campaigns[i].days[day].tweet_ids,
-                      static_cast<int>(day));
+        engine->Ingest(i, campaigns[i].days[day].tweet_ids,
+                       static_cast<int>(day));
       }
     }
-    engine.Advance();
+    engine->Advance();
   }
   return watch.ElapsedSeconds();
+}
+
+/// Streams every campaign through one engine; returns elapsed seconds.
+double RunFleet(std::vector<CampaignData>& campaigns, int num_threads,
+                const bench_flags::Flags& flags) {
+  serving::CampaignEngine::Options options;
+  options.num_threads = num_threads;
+  serving::CampaignEngine engine(options);
+  RegisterFleet(campaigns, flags, &engine);
+  return ServeAllDays(campaigns, &engine);
 }
 
 std::vector<CampaignData> MakeFleet(size_t num_campaigns,
@@ -184,6 +206,74 @@ void RunIngestionBench(bench_flags::Reporter* reporter) {
   table.Print(std::cout);
 }
 
+/// Checkpoint cost of a served fleet: what CampaignStore::Save adds to
+/// every served day (serialization, CRC-32, file writes and fsyncs), the
+/// StreamState::Write serialization rate alone, and a full Restore into a
+/// freshly registered engine.
+void RunCheckpointBench(const bench_flags::Flags& flags,
+                        bench_flags::Reporter* reporter) {
+  bench_util::PrintHeader(
+      "Checkpointing: CampaignStore Save/Restore of an 8-campaign fleet");
+  constexpr size_t kCampaigns = 8;
+  constexpr int kReps = 5;
+  size_t total_tweets = 0;
+  std::vector<CampaignData> campaigns = MakeFleet(kCampaigns, &total_tweets);
+  serving::CampaignEngine::Options options;
+  options.num_threads = 2;
+  serving::CampaignEngine engine(options);
+  RegisterFleet(campaigns, flags, &engine);
+  ServeAllDays(campaigns, &engine);
+
+  size_t state_bytes = 0;
+  Stopwatch watch;
+  for (int rep = 0; rep < kReps; ++rep) {
+    state_bytes = 0;
+    for (size_t i = 0; i < engine.num_campaigns(); ++i) {
+      std::ostringstream os;
+      TRICLUST_CHECK(engine.state(i).Write(&os).ok());
+      state_bytes += os.str().size();
+    }
+  }
+  const double write_ms = watch.ElapsedMillis() / kReps;
+  const double write_mb_per_s = state_bytes / 1e6 / (write_ms / 1e3);
+
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("triclust_bench_checkpoint." + std::to_string(getpid())))
+          .string();
+  const serving::CampaignStore store(dir);
+  watch.Restart();
+  for (int rep = 0; rep < kReps; ++rep) {
+    const Status status = store.Save(engine);
+    TRICLUST_CHECK(status.ok());
+  }
+  const double save_ms = watch.ElapsedMillis() / kReps;
+
+  serving::CampaignEngine restored(options);
+  RegisterFleet(campaigns, flags, &restored);
+  watch.Restart();
+  const Status status = store.Restore(&restored);
+  const double restore_ms = watch.ElapsedMillis();
+  TRICLUST_CHECK(status.ok());
+  std::error_code ignored;
+  std::filesystem::remove_all(dir, ignored);
+
+  TableWriter table(std::to_string(kCampaigns) + " campaigns, " +
+                    TableWriter::Num(state_bytes / 1e3, 1) +
+                    " KB of state (mean of " + std::to_string(kReps) +
+                    " saves)");
+  table.SetHeader({"Save (ms)", "Write (MB/s)", "Restore (ms)"});
+  table.AddRow({TableWriter::Num(save_ms, 2),
+                TableWriter::Num(write_mb_per_s, 1),
+                TableWriter::Num(restore_ms, 2)});
+  table.Print(std::cout);
+  reporter->Add("serving/checkpoint/campaigns:" + std::to_string(kCampaigns),
+                save_ms,
+                {{"write_mb_per_second", write_mb_per_s},
+                 {"restore_ms", restore_ms},
+                 {"state_bytes", static_cast<double>(state_bytes)}});
+}
+
 }  // namespace
 }  // namespace triclust
 
@@ -194,5 +284,6 @@ int main(int argc, char** argv) {
          const triclust::bench_flags::Flags& flags) {
         triclust::RunThroughputSweep(flags, &reporter);
         triclust::RunIngestionBench(&reporter);
+        triclust::RunCheckpointBench(flags, &reporter);
       });
 }

@@ -1,6 +1,7 @@
 #include "src/core/stream_state.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "src/matrix/io.h"
@@ -29,16 +30,20 @@ Status StreamState::Write(std::ostream* os) const {
     user_ids.push_back(user);
   }
   std::sort(user_ids.begin(), user_ids.end());
+  // One reused buffer and one stream write per user block: header line
+  // plus its rows.
+  std::string block;
   for (size_t user : user_ids) {
     const auto& history = user_history.at(user);
-    out << user << " " << history.size() << "\n";
+    block.clear();
+    block += std::to_string(user);
+    block += ' ';
+    block += std::to_string(history.size());
+    block += '\n';
     for (const auto& row : history) {
-      for (size_t c = 0; c < row.size(); ++c) {
-        if (c > 0) out << " ";
-        out << StrFormat("%.17g", row[c]);
-      }
-      out << "\n";
+      AppendDenseRow(row.data(), row.size(), &block);
     }
+    out.write(block.data(), static_cast<std::streamsize>(block.size()));
   }
   if (!out) return Status::IoError("stream state write failed");
   return Status::OK();
@@ -61,6 +66,9 @@ Result<StreamState> StreamState::Read(std::istream* is, size_t num_features,
         !ParseSizeT(fields[1], &num_sf) ||
         !ParseSizeT(fields[2], &num_users)) {
       return Status::ParseError("malformed counts: " + line);
+    }
+    if (timestep > static_cast<size_t>(std::numeric_limits<int>::max())) {
+      return Status::ParseError("timestep out of range: " + line);
     }
   }
   StreamState state;

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "src/eval/metrics.h"
 #include "src/util/file_util.h"
 #include "src/util/logging.h"
+#include "src/util/string_util.h"
 
 namespace triclust {
 
@@ -76,10 +76,9 @@ size_t CountScored(const std::vector<int>& clusters,
 /// Lossless CSV double: empty for NaN (nothing scored), shortest
 /// round-trippable decimal otherwise.
 std::string CsvNum(double value) {
-  if (!std::isfinite(value)) return "";
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
+  std::string out;
+  if (std::isfinite(value)) AppendDouble17g(value, &out);
+  return out;
 }
 
 /// RFC-4180 quoting for the free-form campaign-name column.

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <utility>
 #include <vector>
 
 #include "src/util/logging.h"
@@ -26,6 +27,13 @@ class DenseMatrix {
   /// rows×cols matrix filled with `fill`.
   DenseMatrix(size_t rows, size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+
+  /// rows×cols matrix adopting `values` (row-major, exactly rows·cols
+  /// entries) without copying them.
+  DenseMatrix(size_t rows, size_t cols, std::vector<double> values)
+      : rows_(rows), cols_(cols), data_(std::move(values)) {
+    TRICLUST_CHECK_EQ(data_.size(), rows * cols);
+  }
 
   /// Builds from nested initializer lists: DenseMatrix({{1,2},{3,4}}).
   DenseMatrix(std::initializer_list<std::initializer_list<double>> rows);

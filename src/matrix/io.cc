@@ -1,22 +1,32 @@
 #include "src/matrix/io.h"
 
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/util/logging.h"
 #include "src/util/string_util.h"
 
 namespace triclust {
 
+void AppendDenseRow(const double* values, size_t n, std::string* line) {
+  for (size_t j = 0; j < n; ++j) {
+    if (j > 0) line->push_back(' ');
+    AppendDouble17g(values[j], line);
+  }
+  line->push_back('\n');
+}
+
 void WriteDenseMatrix(const DenseMatrix& matrix, std::ostream* os) {
   TRICLUST_CHECK(os != nullptr);
-  *os << matrix.rows() << " " << matrix.cols() << "\n";
+  std::string line = std::to_string(matrix.rows()) + " " +
+                     std::to_string(matrix.cols()) + "\n";
+  os->write(line.data(), static_cast<std::streamsize>(line.size()));
   for (size_t i = 0; i < matrix.rows(); ++i) {
-    const double* row = matrix.Row(i);
-    for (size_t j = 0; j < matrix.cols(); ++j) {
-      if (j > 0) *os << " ";
-      *os << StrFormat("%.17g", row[j]);
-    }
-    *os << "\n";
+    line.clear();
+    AppendDenseRow(matrix.Row(i), matrix.cols(), &line);
+    os->write(line.data(), static_cast<std::streamsize>(line.size()));
   }
 }
 
@@ -33,7 +43,12 @@ Result<DenseMatrix> ReadDenseMatrix(std::istream* is) {
       !ParseSizeT(dims[1], &cols)) {
     return Status::ParseError("malformed matrix header: " + header);
   }
-  DenseMatrix matrix(rows, cols);
+  if (cols != 0 && rows > std::numeric_limits<size_t>::max() / cols) {
+    return Status::ParseError("matrix header overflows: " + header);
+  }
+  // The header is untrusted: storage grows with the rows actually read,
+  // so a huge declared row count costs nothing until its rows exist.
+  std::vector<double> values;
   std::string line;
   for (size_t i = 0; i < rows; ++i) {
     if (!std::getline(*is, line)) {
@@ -52,10 +67,10 @@ Result<DenseMatrix> ReadDenseMatrix(std::istream* is) {
         return Status::ParseError("bad value at (" + std::to_string(i) +
                                   "," + std::to_string(j) + ")");
       }
-      matrix(i, j) = value;
+      values.push_back(value);
     }
   }
-  return matrix;
+  return DenseMatrix(rows, cols, std::move(values));
 }
 
 }  // namespace triclust

@@ -91,12 +91,13 @@ bool ParseDouble(std::string_view text, double* out) {
 }
 
 bool ParseSizeT(std::string_view text, size_t* out) {
-  const std::string buf(Trim(text));
-  if (buf.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-  if (end != buf.c_str() + buf.size()) return false;
-  *out = static_cast<size_t>(v);
+  const std::string_view trimmed = Trim(text);
+  const char* begin = trimmed.data();
+  const char* end = begin + trimmed.size();
+  size_t value = 0;
+  const auto [ptr, ec] = std::from_chars(begin, end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  *out = value;
   return true;
 }
 
@@ -105,6 +106,15 @@ bool ParseInt64(std::string_view text, long long* out) {
   const char* end = begin + text.size();
   const auto [ptr, ec] = std::from_chars(begin, end, *out);
   return ec == std::errc() && ptr == end;
+}
+
+void AppendDouble17g(double value, std::string* out) {
+  // Longest %.17g output: sign, 17 digits, point, "e-308" = 24 chars.
+  char buffer[32];
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof(buffer), value,
+                    std::chars_format::general, 17);
+  out->append(buffer, result.ptr);
 }
 
 std::string StrFormat(const char* fmt, ...) {

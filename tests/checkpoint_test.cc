@@ -1,12 +1,17 @@
 /// Tests of matrix I/O and online-state checkpointing: a restarted
 /// clusterer must continue the stream exactly as the original would.
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/online.h"
+#include "src/core/stream_state.h"
 #include "src/data/snapshots.h"
 #include "src/matrix/io.h"
 #include "tests/test_util.h"
@@ -64,6 +69,103 @@ TEST(MatrixIoTest, RejectsMalformedInput) {
   {
     std::stringstream buffer;
     EXPECT_FALSE(ReadDenseMatrix(&buffer).ok());  // empty stream
+  }
+}
+
+TEST(MatrixIoTest, RejectsHeadersThatLieAboutSize) {
+  const char* const inputs[] = {
+      "-1 3\n",                   // negative: once parsed as SIZE_MAX
+      "6148914691236517206 3\n",  // rows·cols wraps to 2 in size_t
+      "100000000000 3\n1 2 3\n",  // 3e11 doubles declared, one row present
+      "3 -1\n",
+      "+2 2\n1 2\n3 4\n",
+  };
+  for (const char* input : inputs) {
+    std::stringstream buffer(input);
+    const auto loaded = ReadDenseMatrix(&buffer);
+    ASSERT_FALSE(loaded.ok()) << input;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError) << input;
+  }
+}
+
+/// Test-local reference for the checkpoint format (docs/FORMATS.md §2),
+/// formatting every double with snprintf: the library writer must emit
+/// exactly these bytes.
+std::string ReferenceStateBytes(const StreamState& state) {
+  auto num = [](double value) {
+    char buffer[64];
+    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+    return std::string(buffer);
+  };
+  auto row = [&num](const double* values, size_t n) {
+    std::string line;
+    for (size_t j = 0; j < n; ++j) {
+      if (j > 0) line += " ";
+      line += num(values[j]);
+    }
+    return line + "\n";
+  };
+  std::string out = "triclust-online-state 1\n";
+  out += std::to_string(state.timestep) + " " +
+         std::to_string(state.sf_history.size()) + " " +
+         std::to_string(state.user_history.size()) + "\n";
+  for (const DenseMatrix& sf : state.sf_history) {
+    out += std::to_string(sf.rows()) + " " + std::to_string(sf.cols()) +
+           "\n";
+    for (size_t i = 0; i < sf.rows(); ++i) out += row(sf.Row(i), sf.cols());
+  }
+  std::vector<size_t> users;
+  for (const auto& entry : state.user_history) users.push_back(entry.first);
+  std::sort(users.begin(), users.end());
+  for (size_t user : users) {
+    const auto& history = state.user_history.at(user);
+    out += std::to_string(user) + " " + std::to_string(history.size()) +
+           "\n";
+    for (const auto& r : history) out += row(r.data(), r.size());
+  }
+  return out;
+}
+
+TEST(StreamStateTest, WriteMatchesSnprintfReferenceByteForByte) {
+  const auto p = testing_util::MakeSmallProblem();
+  const Corpus& corpus = p.dataset.corpus;
+  const auto snapshots = SplitByDay(corpus);
+  OnlineConfig config;
+  config.base.max_iterations = 10;
+  config.base.track_loss = false;
+  OnlineTriClusterer online(config, p.sf0);
+  for (size_t s = 0; s < 5; ++s) {
+    online.ProcessSnapshot(p.builder.Build(corpus, snapshots[s].tweet_ids,
+                                           snapshots[s].last_day));
+  }
+  StreamState state = online.state();
+  ASSERT_GT(state.sf_history.size(), 0u);
+  ASSERT_GT(state.user_history.size(), 0u);
+  // Values a fit never produces still have to format identically.
+  auto& extreme = state.user_history.begin()->second.front();
+  extreme[0] = -0.0;
+  extreme[1] = std::numeric_limits<double>::denorm_min();
+  std::ostringstream written;
+  ASSERT_TRUE(state.Write(&written).ok());
+  EXPECT_EQ(written.str(), ReferenceStateBytes(state));
+}
+
+TEST(StreamStateTest, ReadRejectsTimestepPastIntMax) {
+  const size_t k = 3;
+  const size_t features = 4;
+  // 4294967297 once narrowed to timestep 1; 2147483648 is INT_MAX + 1.
+  for (const char* timestep : {"4294967297", "2147483648"}) {
+    std::stringstream in(std::string("triclust-online-state 1\n") +
+                         timestep + " 0 0\n");
+    const auto state = StreamState::Read(&in, features, k);
+    ASSERT_FALSE(state.ok()) << timestep;
+    EXPECT_EQ(state.status().code(), StatusCode::kParseError) << timestep;
+  }
+  {
+    std::stringstream in("triclust-online-state 1\n2147483647 0 0\n");
+    const auto state = StreamState::Read(&in, features, k);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    EXPECT_EQ(state.value().timestep, std::numeric_limits<int>::max());
   }
 }
 

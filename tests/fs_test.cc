@@ -6,6 +6,7 @@
 // and the destination file must still hold one complete version.
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "src/util/file_util.h"
 #include "src/util/fs.h"
 #include "src/util/retry.h"
+#include "src/util/rng.h"
 #include "src/util/status.h"
 
 namespace triclust {
@@ -59,6 +61,62 @@ TEST(Crc32Test, DetectsSingleBitFlips) {
     payload[byte] ^= 0x01;
     EXPECT_NE(Crc32(payload), clean) << "flip at byte " << byte;
     payload[byte] ^= 0x01;
+  }
+}
+
+/// Bitwise reference: the CRC-32 definition, one bit at a time.
+uint32_t ReferenceCrc32(const unsigned char* data, size_t len,
+                        uint32_t seed = 0) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+std::vector<unsigned char> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> bytes(n);
+  for (unsigned char& b : bytes) {
+    b = static_cast<unsigned char>(rng.NextUint64() & 0xFFu);
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..64 from every start offset 0..7 exercise each mix of the
+  // 8-byte body loop and the bytewise tail, at every misalignment.
+  const std::vector<unsigned char> bytes = RandomBytes(64 + 8, 7);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(Crc32(bytes.data() + offset, len),
+                ReferenceCrc32(bytes.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceOnOneMegabyte) {
+  const std::vector<unsigned char> bytes = RandomBytes(1 << 20, 11);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()),
+            ReferenceCrc32(bytes.data(), bytes.size()));
+}
+
+TEST(Crc32Test, IncrementalSeedingAgreesAtEverySplitPoint) {
+  const std::vector<unsigned char> bytes = RandomBytes(203, 13);
+  const uint32_t one_shot = Crc32(bytes.data(), bytes.size());
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    const uint32_t head = Crc32(bytes.data(), split);
+    EXPECT_EQ(Crc32(bytes.data() + split, bytes.size() - split, head),
+              one_shot)
+        << "split " << split;
+    EXPECT_EQ(ReferenceCrc32(bytes.data() + split, bytes.size() - split,
+                             head),
+              one_shot)
+        << "split " << split;
   }
 }
 

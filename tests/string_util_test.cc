@@ -1,6 +1,14 @@
 #include "src/util/string_util.h"
 
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "src/util/rng.h"
 
 namespace triclust {
 namespace {
@@ -81,6 +89,94 @@ TEST(ParseSizeTTest, AcceptsAndRejects) {
   EXPECT_FALSE(ParseSizeT("", &v));
   EXPECT_FALSE(ParseSizeT("4.2", &v));
   EXPECT_FALSE(ParseSizeT("x", &v));
+}
+
+TEST(ParseSizeTTest, RejectsSignsAndOutOfRange) {
+  size_t v = 99;
+  EXPECT_FALSE(ParseSizeT("-1", &v));
+  EXPECT_FALSE(ParseSizeT("-0", &v));
+  EXPECT_FALSE(ParseSizeT("+5", &v));
+  EXPECT_FALSE(ParseSizeT(" -7 ", &v));
+  EXPECT_FALSE(ParseSizeT("18446744073709551616", &v));  // 2^64
+  EXPECT_FALSE(ParseSizeT("99999999999999999999999", &v));
+  EXPECT_FALSE(ParseSizeT("0x10", &v));
+  EXPECT_FALSE(ParseSizeT("1 2", &v));
+  EXPECT_EQ(v, 99u);  // untouched on failure
+  const size_t max = std::numeric_limits<size_t>::max();
+  EXPECT_TRUE(ParseSizeT(std::to_string(max), &v));
+  EXPECT_EQ(v, max);
+  EXPECT_TRUE(ParseSizeT("007", &v));
+  EXPECT_EQ(v, 7u);
+  EXPECT_TRUE(ParseSizeT("\t0\n", &v));
+  EXPECT_EQ(v, 0u);
+}
+
+/// What AppendDouble17g promises to reproduce.
+std::string Printf17g(double value) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  return buffer;
+}
+
+std::string Append17g(double value) {
+  std::string out;
+  AppendDouble17g(value, &out);
+  return out;
+}
+
+TEST(AppendDouble17gTest, MatchesPrintfOnEdgeValues) {
+  const double values[] = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::min(),
+      -std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      0.1,
+      1.0 / 3.0,
+      1e16,
+      1e17,
+      123456789012345678.0,
+      1.0,
+      -2.5e-17,
+      1e-5,
+      1e-4,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+  };
+  for (const double value : values) {
+    EXPECT_EQ(Append17g(value), Printf17g(value)) << Printf17g(value);
+  }
+}
+
+TEST(AppendDouble17gTest, MatchesPrintfOnRandomBitPatterns) {
+  // Uniform 64-bit patterns cover every exponent, so subnormals, NaN
+  // payloads and infinities all occur alongside ordinary values.
+  Rng rng(20261017);
+  size_t mismatches = 0;
+  for (int i = 0; i < 1100000; ++i) {
+    const uint64_t bits = rng.NextUint64();
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof(value));
+    const std::string want = Printf17g(value);
+    if (Append17g(value) != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits " << std::hex << bits << ": got "
+                    << Append17g(value) << ", want " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(AppendDouble17gTest, AppendsWithoutClearing) {
+  std::string out = "x=";
+  AppendDouble17g(0.5, &out);
+  out += ' ';
+  AppendDouble17g(-3.0, &out);
+  EXPECT_EQ(out, "x=0.5 -3");
 }
 
 TEST(StrFormatTest, FormatsLikePrintf) {

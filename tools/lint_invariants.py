@@ -21,6 +21,12 @@ unit suite can see break:
                     must appear by name in tests/kernel_dispatch_test.cc
                     (the dispatch-table coverage test) so a new body
                     cannot ship without a pinned selection expectation.
+  double-format     No "%.17g" format string in src/: round-trip doubles
+                    are formatted by AppendDouble17g
+                    (src/util/string_util.h), the to_chars formatter that
+                    is byte-identical to %.17g at a fraction of the cost
+                    of a vsnprintf call, so a new serializer cannot bring
+                    the slow checkpoint path back.
 
 A finding can be waived on its own line (or the line above) with a
 comment naming the rule:  // lint-allow(fs-seam): <why>
@@ -190,6 +196,23 @@ def check_kernel_coverage(kernels_header, dispatch_test):
     return out
 
 
+# --- rule: double-format -----------------------------------------------------
+
+DOUBLE_FORMAT_PATTERNS = [
+    (re.compile(r'%\.17g'), "spells the %.17g format"),
+]
+
+
+def check_double_format(files):
+    out = []
+    for path, lines in files:
+        out.extend(scan_patterns(
+            path, lines, "double-format", DOUBLE_FORMAT_PATTERNS,
+            "format round-trip doubles with AppendDouble17g "
+            "(src/util/string_util.h), the byte-identical to_chars path"))
+    return out
+
+
 # --- repo scan ---------------------------------------------------------------
 
 def load_tree(root, subdirs):
@@ -217,6 +240,7 @@ def lint_repo(root):
     violations += check_determinism(solver_files)
     violations += check_avx2_confinement(
         load_tree(root, ["src", "tests", "bench", "examples"]))
+    violations += check_double_format(src_files)
     violations += check_kernel_coverage(
         os.path.join(root, "src", "matrix", "kernels.h"),
         os.path.join(root, "tests", "kernel_dispatch_test.cc"))
@@ -264,6 +288,14 @@ def self_test(root):
            check_avx2_confinement(
                [read_fixture(fixtures, "avx2_clean.cc")]),
            "avx2-confinement", False)
+    expect("double_format_bad",
+           check_double_format(
+               [read_fixture(fixtures, "double_format_bad.cc")]),
+           "double-format", True)
+    expect("double_format_clean",
+           check_double_format(
+               [read_fixture(fixtures, "double_format_clean.cc")]),
+           "double-format", False)
     expect("kernel_coverage_missing",
            check_kernel_coverage(
                os.path.join(fixtures, "kernel_coverage_kernels.h"),
@@ -307,7 +339,7 @@ def main():
               "deliberate exception with // lint-allow(<rule>): <why>")
         return 1
     print("lint_invariants OK: fs-seam, determinism, avx2-confinement, "
-          "kernel-coverage all hold.")
+          "kernel-coverage, double-format all hold.")
     return 0
 
 
