@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/core/updates.h"
+#include "src/data/matrix_builder.h"
 #include "src/data/synthetic.h"
 #include "src/matrix/kernel_dispatch.h"
 #include "src/matrix/ops.h"
@@ -359,6 +360,41 @@ void BM_VectorizerFitTransform(benchmark::State& state) {
                           static_cast<int64_t>(docs.size()));
 }
 BENCHMARK(BM_VectorizerFitTransform);
+
+/// The offline_batch benchmark's corpus shape: a Prop30-like campaign at
+/// 4× tweet volume (640 tweets/day, 2,000 users, 30 days; ~30k tweets).
+SyntheticDataset OfflineBatchCorpus() {
+  SyntheticConfig config = Prop30LikeConfig(8);
+  config.base_tweets_per_day = 640.0;
+  config.num_users = 2000;
+  return GenerateSynthetic(config);
+}
+
+/// Tokenize + interned fit of a whole corpus (the vocabulary pass).
+void BM_MatrixBuilderFit(benchmark::State& state) {
+  const SyntheticDataset d = OfflineBatchCorpus();
+  for (auto _ : state) {
+    MatrixBuilder builder;
+    builder.Fit(d.corpus);
+    benchmark::DoNotOptimize(builder.vocabulary().size());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(d.corpus.num_tweets()));
+}
+BENCHMARK(BM_MatrixBuilderFit)->Unit(benchmark::kMillisecond);
+
+/// Xp/Xu/Xr/Gu of the whole corpus from the fitted per-tweet feature ids.
+void BM_MatrixBuilderBuildAll(benchmark::State& state) {
+  const SyntheticDataset d = OfflineBatchCorpus();
+  MatrixBuilder builder;
+  builder.Fit(d.corpus);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(builder.BuildAll(d.corpus));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(d.corpus.num_tweets()));
+}
+BENCHMARK(BM_MatrixBuilderBuildAll)->Unit(benchmark::kMillisecond);
 
 void BM_SparseTranspose(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -370,8 +370,11 @@ TriClusterResult RunSweeps(const DatasetMatrices& data,
       // Multiplicative blow-up (possible when factor scales run away, e.g.
       // extreme inputs or configurations): restore the last finite iterate
       // rather than hand inf/nan factors to the caller.
-      TRICLUST_LOG(kWarning) << "tri-clustering diverged at iteration "
-                             << iter << "; restoring last finite factors";
+      TRICLUST_LOG(kWarning)
+          << "tri-clustering diverged at iteration " << iter << " (n="
+          << data.num_tweets() << " m=" << data.num_users()
+          << " l=" << data.num_features() << ", last finite objective "
+          << previous_total << "); restoring last finite factors";
       f = std::move(last_finite);
       if (config.track_loss) result.loss_history.pop_back();
       break;

@@ -1,6 +1,8 @@
 #include "src/data/matrix_builder.h"
 
-#include <unordered_map>
+#include <cstdint>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "src/util/logging.h"
@@ -12,29 +14,44 @@ MatrixBuilder::MatrixBuilder(TokenizerOptions tokenizer_options,
     : tokenizer_(tokenizer_options), vectorizer_(vectorizer_options) {}
 
 void MatrixBuilder::Fit(const Corpus& corpus) {
-  tokens_by_tweet_.clear();
-  tokens_by_tweet_.reserve(corpus.num_tweets());
-  for (const Tweet& t : corpus.tweets()) {
-    tokens_by_tweet_.push_back(tokenizer_.Tokenize(t.text));
-  }
-  vectorizer_.Fit(tokens_by_tweet_);
+  std::string buffer;
+  std::vector<std::string_view> tokens;
+  feature_ids_by_tweet_ = vectorizer_.FitFeatureIds(
+      corpus.num_tweets(),
+      [&](size_t id) -> const std::vector<std::string_view>& {
+        tokenizer_.Tokenize(corpus.tweet(id).text, &buffer, &tokens);
+        return tokens;
+      });
   fitted_ = true;
+  ClearPending();
+}
+
+void MatrixBuilder::ClearPending() {
+  pending_ids_.clear();
+  pending_rows_.clear();
 }
 
 void MatrixBuilder::FitStreamBegin() {
-  tokens_by_tweet_.clear();
+  feature_ids_by_tweet_.clear();
   fitted_ = false;
+  ClearPending();
   vectorizer_.FitStreamBegin();
 }
 
 void MatrixBuilder::FitStreamCount(const std::string& text) {
-  vectorizer_.FitStreamCount(tokenizer_.Tokenize(text));
+  std::string buffer;
+  std::vector<std::string_view> tokens;
+  tokenizer_.Tokenize(text, &buffer, &tokens);
+  vectorizer_.FitStreamCount(tokens);
 }
 
 void MatrixBuilder::FitStreamAdmitBegin() { vectorizer_.FitStreamAdmitBegin(); }
 
 void MatrixBuilder::FitStreamAdmit(const std::string& text) {
-  vectorizer_.FitStreamAdmit(tokenizer_.Tokenize(text));
+  std::string buffer;
+  std::vector<std::string_view> tokens;
+  tokenizer_.Tokenize(text, &buffer, &tokens);
+  vectorizer_.FitStreamAdmit(tokens);
 }
 
 void MatrixBuilder::FitStreamFinish() {
@@ -50,18 +67,19 @@ DatasetMatrices MatrixBuilder::Assemble(const Corpus& corpus,
   out.tweet_ids = std::move(tweet_ids);
   out.xp = std::move(xp);
 
-  // Row maps.
-  std::unordered_map<size_t, size_t> tweet_row;
-  tweet_row.reserve(out.tweet_ids.size());
+  // Row maps, indexed by corpus id; kAbsent marks ids outside the subset.
+  constexpr size_t kAbsent = SIZE_MAX;
+  std::vector<size_t> tweet_row(corpus.num_tweets(), kAbsent);
   for (size_t i = 0; i < out.tweet_ids.size(); ++i) {
     TRICLUST_CHECK_LT(out.tweet_ids[i], corpus.num_tweets());
     tweet_row[out.tweet_ids[i]] = i;
   }
 
-  std::unordered_map<size_t, size_t> user_row;
+  std::vector<size_t> user_row(corpus.num_users(), kAbsent);
   for (size_t tweet_id : out.tweet_ids) {
     const size_t author = corpus.tweet(tweet_id).user;
-    if (user_row.emplace(author, out.user_ids.size()).second) {
+    if (user_row[author] == kAbsent) {
+      user_row[author] = out.user_ids.size();
       out.user_ids.push_back(author);
     }
   }
@@ -73,7 +91,7 @@ DatasetMatrices MatrixBuilder::Assemble(const Corpus& corpus,
     const auto& col_idx = out.xp.col_idx();
     const auto& values = out.xp.values();
     for (size_t i = 0; i < out.tweet_ids.size(); ++i) {
-      const size_t urow = user_row.at(corpus.tweet(out.tweet_ids[i]).user);
+      const size_t urow = user_row[corpus.tweet(out.tweet_ids[i]).user];
       for (size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
         builder.Add(urow, col_idx[p], values[p]);
       }
@@ -89,18 +107,16 @@ DatasetMatrices MatrixBuilder::Assemble(const Corpus& corpus,
     std::vector<UserGraph::Edge> edges;
     for (size_t i = 0; i < out.tweet_ids.size(); ++i) {
       const Tweet& t = corpus.tweet(out.tweet_ids[i]);
-      const size_t urow = user_row.at(t.user);
+      const size_t urow = user_row[t.user];
       builder.Add(urow, i, 1.0);
       if (t.IsRetweet()) {
         const Tweet& original =
             corpus.tweet(static_cast<size_t>(t.retweet_of));
-        const auto orig_row = tweet_row.find(original.id);
-        if (orig_row != tweet_row.end()) {
-          builder.Add(urow, orig_row->second, 1.0);
-        }
-        const auto author_row = user_row.find(original.user);
-        if (author_row != user_row.end() && author_row->second != urow) {
-          edges.push_back({urow, author_row->second, 1.0});
+        const size_t orig_row = tweet_row[original.id];
+        if (orig_row != kAbsent) builder.Add(urow, orig_row, 1.0);
+        const size_t author_row = user_row[original.user];
+        if (author_row != kAbsent && author_row != urow) {
+          edges.push_back({urow, author_row, 1.0});
         }
       }
     }
@@ -128,11 +144,11 @@ DatasetMatrices MatrixBuilder::Build(const Corpus& corpus,
                                      int user_label_day) const {
   TRICLUST_CHECK(fitted_);
   // Xp: tweet–feature.
-  std::vector<std::vector<std::string>> docs;
+  std::vector<const DocumentVectorizer::FeatureIds*> docs;
   docs.reserve(tweet_ids.size());
   for (size_t tweet_id : tweet_ids) {
-    TRICLUST_CHECK_LT(tweet_id, tokens_by_tweet_.size());
-    docs.push_back(tokens_by_tweet_[tweet_id]);
+    TRICLUST_CHECK_LT(tweet_id, feature_ids_by_tweet_.size());
+    docs.push_back(&feature_ids_by_tweet_[tweet_id]);
   }
   return Assemble(corpus, tweet_ids, vectorizer_.Transform(docs),
                   user_label_day);
@@ -156,15 +172,23 @@ void MatrixBuilder::Append(const Corpus& corpus,
   // weighting and L2 normalization are independent of the rest of the
   // batch, so each row is identical to the one Build() — or a
   // one-tweet Append — would produce.
-  std::vector<std::vector<std::string>> docs;
+  // Tweets that arrived after Fit() are tokenized on the fly (OOV tokens
+  // drop out); `late` holds their ids for the batch, reserved up front so
+  // the pointers in `docs` stay valid.
+  std::vector<DocumentVectorizer::FeatureIds> late;
+  late.reserve(tweet_ids.size());
+  std::string buffer;
+  std::vector<std::string_view> tokens;
+  std::vector<const DocumentVectorizer::FeatureIds*> docs;
   docs.reserve(tweet_ids.size());
   for (size_t tweet_id : tweet_ids) {
     TRICLUST_CHECK_LT(tweet_id, corpus.num_tweets());
-    if (tweet_id < tokens_by_tweet_.size()) {
-      docs.push_back(tokens_by_tweet_[tweet_id]);
+    if (tweet_id < feature_ids_by_tweet_.size()) {
+      docs.push_back(&feature_ids_by_tweet_[tweet_id]);
     } else {
-      // Arrived after Fit(): tokenize on the fly (OOV tokens drop out).
-      docs.push_back(tokenizer_.Tokenize(corpus.tweet(tweet_id).text));
+      tokenizer_.Tokenize(corpus.tweet(tweet_id).text, &buffer, &tokens);
+      late.push_back(vectorizer_.FeatureIdsOf(tokens));
+      docs.push_back(&late.back());
     }
   }
   const SparseMatrix rows = vectorizer_.Transform(docs);
@@ -195,8 +219,7 @@ DatasetMatrices MatrixBuilder::EmitSnapshot(const Corpus& corpus,
   }
   DatasetMatrices out = Assemble(corpus, std::move(pending_ids_),
                                  builder.Build(), user_label_day);
-  pending_ids_.clear();
-  pending_rows_.clear();
+  ClearPending();
   return out;
 }
 

@@ -44,7 +44,9 @@ struct DatasetMatrices {
 /// subsequent Build() (full corpus or one temporal snapshot) maps onto that
 /// shared space, which keeps Sf(t) dimensionally consistent across online
 /// snapshots. Out-of-vocabulary tokens in later snapshots are dropped,
-/// matching how a deployed system would pin its feature hash space.
+/// matching how a deployed system would pin its feature hash space. Fit
+/// keeps each tweet's feature ids (DocumentVectorizer::FeatureIds), so
+/// Build and Append never re-tokenize a fitted tweet.
 ///
 /// Streaming ingestion: Append() accumulates tweets into a *pending
 /// snapshot*, vectorizing each tweet once on arrival — O(tokens of the new
@@ -60,7 +62,9 @@ class MatrixBuilder {
   explicit MatrixBuilder(TokenizerOptions tokenizer_options = {},
                          VectorizerOptions vectorizer_options = {});
 
-  /// Tokenizes all tweets and fixes the vocabulary.
+  /// Tokenizes all tweets and fixes the vocabulary. Starts an empty
+  /// pending snapshot: rows appended under a previous fit would index a
+  /// different feature space.
   void Fit(const Corpus& corpus);
 
   // --- streaming Fit (bounded memory) ---------------------------------------
@@ -70,10 +74,12 @@ class MatrixBuilder {
   // ReadTsvStream over the same file. The learned feature space is
   // identical to Fit() over the same texts, and every later Append /
   // EmitSnapshot row matches the in-memory path bit for bit (Append
-  // re-tokenizes on the fly; no token cache is retained, so Build() —
-  // which requires the cache — CHECK-fails on a stream-fitted builder).
+  // re-tokenizes on the fly; no per-tweet feature ids are retained, so
+  // Build() — which requires them — CHECK-fails on a stream-fitted
+  // builder).
 
-  /// Starts the document-frequency pass; discards any previous fit.
+  /// Starts the document-frequency pass; discards any previous fit and
+  /// the pending snapshot, as Fit() does.
   void FitStreamBegin();
   /// Folds one tweet's text into the document-frequency pass.
   void FitStreamCount(const std::string& text);
@@ -124,9 +130,13 @@ class MatrixBuilder {
                            std::vector<size_t> tweet_ids, SparseMatrix xp,
                            int user_label_day) const;
 
+  /// Empties the pending snapshot.
+  void ClearPending();
+
   Tokenizer tokenizer_;
   DocumentVectorizer vectorizer_;
-  std::vector<std::vector<std::string>> tokens_by_tweet_;
+  /// Feature ids of every tweet seen by Fit(), indexed by tweet id.
+  std::vector<DocumentVectorizer::FeatureIds> feature_ids_by_tweet_;
   bool fitted_ = false;
 
   std::vector<size_t> pending_ids_;

@@ -1,7 +1,7 @@
 #include "src/text/tokenizer.h"
 
+#include <algorithm>
 #include <array>
-#include <cctype>
 
 #include "src/util/string_util.h"
 
@@ -16,7 +16,51 @@ constexpr std::array<std::string_view, 12> kPositiveEmoticons = {
 constexpr std::array<std::string_view, 10> kNegativeEmoticons = {
     ":(", ":-(", ":'(", "=(", ":[", "d:", ":/", ":-/", "):", ">:("};
 
+// Byte classes as the "C" locale defines them (the library never calls
+// setlocale): ASCII only, so bytes >= 0x80 are neither space, word nor
+// letter. Inline tests instead of the <cctype> calls, which cost a
+// function call per byte.
+char LowerChar(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+bool IsWordChar(char c) {
+  const char lower = LowerChar(c);
+  return IsDigit(c) || (lower >= 'a' && lower <= 'z') || c == '_';
+}
+
+template <size_t N>
+constexpr size_t MaxLength(const std::array<std::string_view, N>& list) {
+  size_t longest = 0;
+  for (std::string_view e : list) longest = std::max(longest, e.size());
+  return longest;
+}
+
+/// Longest entry of either emoticon list; longer tokens skip the scan.
+constexpr size_t kMaxEmoticonLength =
+    std::max(MaxLength(kPositiveEmoticons), MaxLength(kNegativeEmoticons));
+
+/// True when `token`, lowercased, equals one of `lowered` (already
+/// lowercase) — without materializing the lowercase copy.
+template <size_t N>
+bool MatchesLowered(std::string_view token,
+                    const std::array<std::string_view, N>& lowered) {
+  if (token.size() > kMaxEmoticonLength) return false;
+  for (std::string_view e : lowered) {
+    if (e.size() != token.size()) continue;
+    size_t i = 0;
+    while (i < e.size() && LowerChar(token[i]) == e[i]) ++i;
+    if (i == e.size()) return true;
+  }
+  return false;
+}
+
 bool IsUrlToken(std::string_view token) {
+  if (token.empty() || (token[0] != 'h' && token[0] != 'w')) return false;
   return StartsWith(token, "http://") || StartsWith(token, "https://") ||
          StartsWith(token, "www.");
 }
@@ -24,7 +68,7 @@ bool IsUrlToken(std::string_view token) {
 bool IsAllDigits(std::string_view token) {
   if (token.empty()) return false;
   for (char c : token) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
+    if (!IsDigit(c)) return false;
   }
   return true;
 }
@@ -34,38 +78,39 @@ bool IsAllDigits(std::string_view token) {
 std::string_view StripOuterPunct(std::string_view token) {
   size_t begin = 0;
   size_t end = token.size();
-  auto is_word_char = [](char c) {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-  };
-  while (begin < end && !is_word_char(token[begin])) ++begin;
-  while (end > begin && !is_word_char(token[end - 1])) --end;
+  while (begin < end && !IsWordChar(token[begin])) ++begin;
+  while (end > begin && !IsWordChar(token[end - 1])) --end;
   return token.substr(begin, end - begin);
 }
 
 }  // namespace
 
 bool IsPositiveEmoticon(std::string_view token) {
-  const std::string lower = ToLowerAscii(token);
-  for (std::string_view e : kPositiveEmoticons) {
-    if (lower == e) return true;
-  }
-  return false;
+  return MatchesLowered(token, kPositiveEmoticons);
 }
 
 bool IsNegativeEmoticon(std::string_view token) {
-  const std::string lower = ToLowerAscii(token);
-  for (std::string_view e : kNegativeEmoticons) {
-    if (lower == e) return true;
-  }
-  return false;
+  return MatchesLowered(token, kNegativeEmoticons);
 }
 
 Tokenizer::Tokenizer(TokenizerOptions options) : options_(options) {}
 
-std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
-  std::vector<std::string> out;
-  for (const std::string& raw : SplitWhitespace(text)) {
-    std::string token = options_.lowercase ? ToLowerAscii(raw) : raw;
+void Tokenizer::Tokenize(std::string_view text, std::string* buffer,
+                         std::vector<std::string_view>* tokens) const {
+  tokens->clear();
+  buffer->assign(text);
+  if (options_.lowercase) {
+    for (char& c : *buffer) c = LowerChar(c);
+  }
+  char* const chars = buffer->data();
+  size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() && IsSpace(text[i])) ++i;
+    const size_t start = i;
+    while (i < text.size() && !IsSpace(text[i])) ++i;
+    if (i == start) break;
+    const std::string_view raw = text.substr(start, i - start);
+    const std::string_view token(chars + start, i - start);
 
     if (options_.strip_retweet_marker && (token == "rt" || raw == "RT")) {
       continue;
@@ -74,39 +119,43 @@ std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
 
     if (options_.map_emoticons) {
       if (IsPositiveEmoticon(token)) {
-        out.emplace_back(kPositiveEmoticonToken);
+        tokens->push_back(kPositiveEmoticonToken);
         continue;
       }
       if (IsNegativeEmoticon(token)) {
-        out.emplace_back(kNegativeEmoticonToken);
+        tokens->push_back(kNegativeEmoticonToken);
         continue;
       }
     }
 
-    if (!token.empty() && token[0] == '#') {
-      if (!options_.keep_hashtags) continue;
-      const std::string_view body = StripOuterPunct(
-          std::string_view(token).substr(1));
+    if (token[0] == '#' || token[0] == '@') {
+      const char marker = token[0];
+      if (!(marker == '#' ? options_.keep_hashtags : options_.keep_mentions)) {
+        continue;
+      }
+      const std::string_view body = StripOuterPunct(token.substr(1));
       if (body.empty()) continue;
-      out.push_back("#" + std::string(body));
-      continue;
-    }
-
-    if (!token.empty() && token[0] == '@') {
-      if (!options_.keep_mentions) continue;
-      const std::string_view body = StripOuterPunct(
-          std::string_view(token).substr(1));
-      if (body.empty()) continue;
-      out.push_back("@" + std::string(body));
+      // The byte before `body` belongs to this token (the marker itself or
+      // stripped punctuation), so writing the marker there makes
+      // marker + body one contiguous view of the buffer.
+      char* const marked = chars + (body.data() - chars) - 1;
+      *marked = marker;
+      tokens->emplace_back(marked, body.size() + 1);
       continue;
     }
 
     const std::string_view word = StripOuterPunct(token);
     if (word.size() < options_.min_token_length) continue;
     if (options_.strip_numbers && IsAllDigits(word)) continue;
-    out.emplace_back(word);
+    tokens->push_back(word);
   }
-  return out;
+}
+
+std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
+  std::string buffer;
+  std::vector<std::string_view> views;
+  Tokenize(text, &buffer, &views);
+  return std::vector<std::string>(views.begin(), views.end());
 }
 
 }  // namespace triclust

@@ -45,7 +45,17 @@ class Tokenizer {
 
   const TokenizerOptions& options() const { return options_; }
 
-  /// Tokenizes one tweet.
+  /// Tokenizes one tweet into `tokens` (cleared first). Each token is a
+  /// view into `buffer`, which receives a copy of the tweet (lowercased
+  /// when options().lowercase), or a view of a static emoticon
+  /// pseudo-token; the views stay valid until `buffer` is next written.
+  /// Reusing one buffer and one token vector across tweets makes
+  /// tokenization allocation-free in steady state. Bytes are classified
+  /// as the "C" locale does (ASCII only).
+  void Tokenize(std::string_view text, std::string* buffer,
+                std::vector<std::string_view>* tokens) const;
+
+  /// Tokenizes one tweet into owned strings (the overload above, copied).
   std::vector<std::string> Tokenize(std::string_view text) const;
 
  private:

@@ -11,58 +11,112 @@ namespace triclust {
 DocumentVectorizer::DocumentVectorizer(VectorizerOptions options)
     : options_(options) {}
 
-void DocumentVectorizer::Fit(
-    const std::vector<std::vector<std::string>>& documents) {
-  // First pass: document frequencies over the raw token space.
-  std::unordered_map<std::string, size_t> df;
-  for (const auto& doc : documents) {
-    std::unordered_map<std::string, bool> seen;
-    for (const std::string& token : doc) {
-      if (options_.remove_stopwords && IsStopWord(token)) continue;
-      if (!seen.emplace(token, true).second) continue;
-      ++df[token];
-    }
-  }
-
-  // Second pass: admit features meeting the document-frequency floor, in
-  // first-appearance order so ids are deterministic.
+void DocumentVectorizer::BeginFit() {
   vocabulary_ = Vocabulary();
   document_frequency_.clear();
-  for (const auto& doc : documents) {
-    for (const std::string& token : doc) {
-      if (options_.remove_stopwords && IsStopWord(token)) continue;
-      const auto it = df.find(token);
-      if (it == df.end() || it->second < options_.min_document_frequency) {
-        continue;
-      }
-      if (!vocabulary_.Contains(token)) {
-        vocabulary_.GetOrAdd(token);
-        document_frequency_.push_back(it->second);
-      }
+  num_fit_documents_ = 0;
+  fitted_ = false;
+  term_ids_.clear();
+  terms_.clear();
+}
+
+uint32_t DocumentVectorizer::CountToken(std::string_view token,
+                                        size_t document) {
+  term_key_.assign(token);
+  auto it = term_ids_.find(term_key_);
+  if (it == term_ids_.end()) {
+    it = term_ids_.emplace(term_key_, static_cast<uint32_t>(terms_.size()))
+             .first;
+    Term term;
+    term.text = term_key_;
+    term.stop_word = options_.remove_stopwords && IsStopWord(token);
+    terms_.push_back(std::move(term));
+  }
+  Term& term = terms_[it->second];
+  // Stop words never count; every other token counts once per document.
+  if (!term.stop_word && term.last_document != document) {
+    term.last_document = document;
+    ++term.document_frequency;
+  }
+  return it->second;
+}
+
+void DocumentVectorizer::AdmitTerm(uint32_t term_id) {
+  Term& term = terms_[term_id];
+  if (term.stop_word || term.feature != kNoFeature ||
+      term.document_frequency < options_.min_document_frequency) {
+    return;
+  }
+  term.feature = static_cast<uint32_t>(vocabulary_.GetOrAdd(term.text));
+  document_frequency_.push_back(term.document_frequency);
+}
+
+void DocumentVectorizer::FinishFit(size_t num_documents) {
+  num_fit_documents_ = num_documents;
+  const double n = static_cast<double>(num_documents);
+  idf_.clear();
+  for (size_t df : document_frequency_) {
+    idf_.push_back(std::log((1.0 + n) / (1.0 + static_cast<double>(df))) +
+                   1.0);
+  }
+  fitted_ = true;
+  term_ids_ = {};
+  terms_ = {};
+}
+
+void DocumentVectorizer::Fit(
+    const std::vector<std::vector<std::string>>& documents) {
+  std::vector<std::string_view> views;
+  FitFeatureIds(documents.size(),
+                [&](size_t d) -> const std::vector<std::string_view>& {
+                  views.assign(documents[d].begin(), documents[d].end());
+                  return views;
+                });
+}
+
+std::vector<DocumentVectorizer::FeatureIds> DocumentVectorizer::FitFeatureIds(
+    size_t num_documents,
+    const std::function<const std::vector<std::string_view>&(size_t)>&
+        document) {
+  BeginFit();
+  // Document-frequency pass. Each document is read once; its term ids are
+  // kept for the admission pass and then rewritten into feature ids.
+  std::vector<FeatureIds> ids(num_documents);
+  for (size_t d = 0; d < num_documents; ++d) {
+    const std::vector<std::string_view>& tokens = document(d);
+    ids[d].reserve(tokens.size());
+    for (std::string_view token : tokens) {
+      ids[d].push_back(CountToken(token, d));
     }
   }
-  num_fit_documents_ = documents.size();
-  fitted_ = true;
+  // Admission pass over the same term sequence: first-appearance order.
+  for (const FeatureIds& terms : ids) {
+    for (uint32_t term_id : terms) AdmitTerm(term_id);
+  }
+  for (FeatureIds& list : ids) {
+    size_t kept = 0;
+    for (uint32_t term_id : list) {
+      const uint32_t feature = terms_[term_id].feature;
+      if (feature != kNoFeature) list[kept++] = feature;
+    }
+    list.resize(kept);
+  }
+  FinishFit(num_documents);
+  return ids;
 }
 
 void DocumentVectorizer::FitStreamBegin() {
+  BeginFit();
   stream_phase_ = StreamPhase::kCounting;
-  stream_df_.clear();
   stream_counted_docs_ = 0;
   stream_admitted_docs_ = 0;
-  fitted_ = false;
 }
 
 void DocumentVectorizer::FitStreamCount(
-    const std::vector<std::string>& document) {
+    const std::vector<std::string_view>& document) {
   TRICLUST_CHECK(stream_phase_ == StreamPhase::kCounting);
-  // Mirrors the first pass of Fit() exactly: per-document dedup after
-  // stop-word removal.
-  std::unordered_map<std::string, bool> seen;
-  for (const std::string& token : document) {
-    if (options_.remove_stopwords && IsStopWord(token)) continue;
-    if (!seen.emplace(token, true).second) continue;
-    ++stream_df_[token];
+  for (std::string_view token : document) {
+    CountToken(token, stream_counted_docs_);
   }
   ++stream_counted_docs_;
 }
@@ -70,26 +124,15 @@ void DocumentVectorizer::FitStreamCount(
 void DocumentVectorizer::FitStreamAdmitBegin() {
   TRICLUST_CHECK(stream_phase_ == StreamPhase::kCounting);
   stream_phase_ = StreamPhase::kAdmitting;
-  vocabulary_ = Vocabulary();
-  document_frequency_.clear();
 }
 
 void DocumentVectorizer::FitStreamAdmit(
-    const std::vector<std::string>& document) {
+    const std::vector<std::string_view>& document) {
   TRICLUST_CHECK(stream_phase_ == StreamPhase::kAdmitting);
-  // Mirrors the second pass of Fit(): admission in first-appearance order,
-  // so feature ids match the in-memory fit bit for bit.
-  for (const std::string& token : document) {
-    if (options_.remove_stopwords && IsStopWord(token)) continue;
-    const auto it = stream_df_.find(token);
-    if (it == stream_df_.end() ||
-        it->second < options_.min_document_frequency) {
-      continue;
-    }
-    if (!vocabulary_.Contains(token)) {
-      vocabulary_.GetOrAdd(token);
-      document_frequency_.push_back(it->second);
-    }
+  for (std::string_view token : document) {
+    term_key_.assign(token);
+    const auto it = term_ids_.find(term_key_);
+    if (it != term_ids_.end()) AdmitTerm(it->second);
   }
   ++stream_admitted_docs_;
 }
@@ -99,16 +142,8 @@ void DocumentVectorizer::FitStreamFinish() {
   // Unequal pass lengths mean the caller re-streamed a different corpus —
   // the vocabulary would silently diverge from the idf denominators.
   TRICLUST_CHECK_EQ(stream_counted_docs_, stream_admitted_docs_);
-  num_fit_documents_ = stream_counted_docs_;
-  fitted_ = true;
+  FinishFit(stream_counted_docs_);
   stream_phase_ = StreamPhase::kNone;
-  stream_df_ = {};
-}
-
-double DocumentVectorizer::IdfWeight(size_t feature_id) const {
-  const double n = static_cast<double>(num_fit_documents_);
-  const double df = static_cast<double>(document_frequency_[feature_id]);
-  return std::log((1.0 + n) / (1.0 + df)) + 1.0;
 }
 
 size_t DocumentVectorizer::DocumentFrequency(size_t id) const {
@@ -116,26 +151,47 @@ size_t DocumentVectorizer::DocumentFrequency(size_t id) const {
   return document_frequency_[id];
 }
 
+DocumentVectorizer::FeatureIds DocumentVectorizer::FeatureIdsOf(
+    const std::vector<std::string_view>& tokens) const {
+  FeatureIds ids;
+  for (std::string_view token : tokens) {
+    const ptrdiff_t id = vocabulary_.IdOf(token);
+    if (id >= 0) ids.push_back(static_cast<uint32_t>(id));
+  }
+  return ids;
+}
+
 SparseMatrix DocumentVectorizer::Transform(
     const std::vector<std::vector<std::string>>& documents) const {
+  std::vector<FeatureIds> ids;
+  ids.reserve(documents.size());
+  std::vector<std::string_view> views;
+  for (const std::vector<std::string>& document : documents) {
+    views.assign(document.begin(), document.end());
+    ids.push_back(FeatureIdsOf(views));
+  }
+  std::vector<const FeatureIds*> rows;
+  rows.reserve(ids.size());
+  for (const FeatureIds& list : ids) rows.push_back(&list);
+  return Transform(rows);
+}
+
+SparseMatrix DocumentVectorizer::Transform(
+    const std::vector<const FeatureIds*>& documents) const {
   TRICLUST_CHECK(fitted_);
   SparseMatrix::Builder builder(documents.size(), vocabulary_.size());
-  std::vector<double> row_sq;
   for (size_t d = 0; d < documents.size(); ++d) {
+    // Filled in token order. The map's iteration order then fixes the
+    // norm's summation order and the Builder's insertion order, and with
+    // them the last bits of Xp (and of Xu, which sums Xp rows).
     std::unordered_map<size_t, double> counts;
-    for (const std::string& token : documents[d]) {
-      const ptrdiff_t id = vocabulary_.IdOf(token);
-      if (id < 0) continue;  // OOV or filtered at Fit time.
-      counts[static_cast<size_t>(id)] += 1.0;
-    }
+    for (uint32_t id : *documents[d]) counts[id] += 1.0;
     double norm_sq = 0.0;
     for (auto& [id, count] : counts) {
-      double w = count;
       if (options_.weighting == TermWeighting::kTfIdf) {
-        w *= IdfWeight(id);
+        count *= idf_[id];
       }
-      counts[id] = w;
-      norm_sq += w * w;
+      norm_sq += count * count;
     }
     const double inv_norm =
         (options_.l2_normalize && norm_sq > 0.0) ? 1.0 / std::sqrt(norm_sq)

@@ -1,7 +1,10 @@
 #ifndef TRICLUST_SRC_TEXT_VECTORIZER_H_
 #define TRICLUST_SRC_TEXT_VECTORIZER_H_
 
+#include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -42,38 +45,65 @@ struct VectorizerOptions {
 /// the vocabulary; Transform() maps any token lists (including future
 /// snapshots with out-of-vocabulary words, which are skipped) onto that
 /// vocabulary as a CSR matrix. FitTransform combines both.
+///
+/// Every fit interns each distinct token once to a dense term id, tests it
+/// against the stop-word list once, and counts its document frequency with
+/// a last-seen-document stamp. Features are admitted in first-appearance
+/// order, so feature ids depend only on the token sequence.
 class DocumentVectorizer {
  public:
+  /// Feature ids of one document's in-vocabulary tokens, in token order
+  /// (a repeated token repeats): exactly what Transform counts.
+  using FeatureIds = std::vector<uint32_t>;
+
   explicit DocumentVectorizer(VectorizerOptions options = {});
 
   /// Learns the vocabulary and document frequencies.
   void Fit(const std::vector<std::vector<std::string>>& documents);
 
+  /// Fit over `num_documents` documents read in order, where
+  /// `document(d)` returns document d's tokens; the returned views need
+  /// only stay valid until the next call. Returns every document's
+  /// FeatureIds under the learned vocabulary. Fit() is this over token
+  /// lists.
+  std::vector<FeatureIds> FitFeatureIds(
+      size_t num_documents,
+      const std::function<const std::vector<std::string_view>&(size_t)>&
+          document);
+
   /// Maps documents onto the learned vocabulary. Requires Fit().
   SparseMatrix Transform(
       const std::vector<std::vector<std::string>>& documents) const;
+
+  /// Transform over FeatureIds lists, one pointer per row; bitwise
+  /// identical to Transform over the documents the lists came from.
+  SparseMatrix Transform(const std::vector<const FeatureIds*>& documents) const;
 
   /// Fit() followed by Transform() on the same documents.
   SparseMatrix FitTransform(
       const std::vector<std::vector<std::string>>& documents);
 
+  /// FeatureIds of `tokens` under the learned vocabulary (OOV tokens drop).
+  FeatureIds FeatureIdsOf(const std::vector<std::string_view>& tokens) const;
+
   // --- streaming Fit (bounded memory) ---------------------------------------
   // Two-pass Fit for document sets that do not fit in RAM: feed every
   // document once to FitStreamCount (the document-frequency pass), then
   // once more IN THE SAME ORDER to FitStreamAdmit (the vocabulary-admission
-  // pass), then call FitStreamFinish. The learned vocabulary, document
-  // frequencies, document count — and therefore every later Transform — are
-  // identical to Fit() over the same documents; only a token→df hash map
-  // (vocabulary-sized, not corpus-sized) is held between the passes.
+  // pass), then call FitStreamFinish. Both passes run the same per-token
+  // steps as Fit(), so the learned vocabulary, document frequencies,
+  // document count — and therefore every later Transform — are identical
+  // to Fit() over the same documents; only the term table (one entry per
+  // distinct token, not per corpus token) is held between the passes.
 
   /// Starts the document-frequency pass; discards any previous fit.
   void FitStreamBegin();
   /// Folds one document into the document-frequency pass.
-  void FitStreamCount(const std::vector<std::string>& document);
+  void FitStreamCount(const std::vector<std::string_view>& document);
   /// Ends the df pass and starts the vocabulary-admission pass.
   void FitStreamAdmitBegin();
   /// Folds one document into the admission pass (same order as counted).
-  void FitStreamAdmit(const std::vector<std::string>& document);
+  void FitStreamAdmit(const std::vector<std::string_view>& document);
   /// Completes the streaming fit. CHECK-fails unless both passes saw the
   /// same number of documents.
   void FitStreamFinish();
@@ -88,19 +118,46 @@ class DocumentVectorizer {
   size_t DocumentFrequency(size_t id) const;
 
  private:
-  double IdfWeight(size_t feature_id) const;
+  static constexpr uint32_t kNoFeature = UINT32_MAX;
+
+  /// One distinct token seen by the fit in progress.
+  struct Term {
+    std::string text;
+    bool stop_word = false;
+    size_t document_frequency = 0;
+    /// Last document counted, for per-document dedup; SIZE_MAX = none.
+    size_t last_document = SIZE_MAX;
+    uint32_t feature = kNoFeature;
+  };
+
+  /// Forgets any fit and starts an empty term table.
+  void BeginFit();
+  /// Interns `token` and counts it for document `document`; returns its
+  /// term id.
+  uint32_t CountToken(std::string_view token, size_t document);
+  /// Admits term `term_id` as the next feature unless it is a stop word,
+  /// below the document-frequency floor, or already admitted.
+  void AdmitTerm(uint32_t term_id);
+  /// Fixes the fit over `num_documents` documents and drops the term table.
+  void FinishFit(size_t num_documents);
 
   VectorizerOptions options_;
   Vocabulary vocabulary_;
   std::vector<size_t> document_frequency_;
+  /// Smooth idf of each feature, fixed at the end of the fit.
+  std::vector<double> idf_;
   size_t num_fit_documents_ = 0;
   bool fitted_ = false;
+
+  // Term table of the fit in progress, live from BeginFit to FinishFit.
+  std::unordered_map<std::string, uint32_t> term_ids_;
+  std::vector<Term> terms_;
+  std::string term_key_;  // reused lookup key: no allocation per token
 
   // Streaming-fit state, live only between FitStreamBegin and
   // FitStreamFinish.
   enum class StreamPhase { kNone, kCounting, kAdmitting };
   StreamPhase stream_phase_ = StreamPhase::kNone;
-  std::unordered_map<std::string, size_t> stream_df_;
   size_t stream_counted_docs_ = 0;
   size_t stream_admitted_docs_ = 0;
 };

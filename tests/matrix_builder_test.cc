@@ -1,8 +1,15 @@
 #include "src/data/matrix_builder.h"
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/data/snapshots.h"
+#include "src/data/synthetic.h"
+#include "src/text/tokenizer.h"
+#include "src/text/vectorizer.h"
 #include "tests/test_util.h"
 
 namespace triclust {
@@ -211,6 +218,93 @@ TEST(MatrixBuilderTest, EmitEmptyPendingYieldsEmptySnapshot) {
   EXPECT_EQ(got.num_tweets(), 0u);
   EXPECT_EQ(got.num_users(), 0u);
   EXPECT_EQ(got.xp.cols(), builder.vocabulary().size());
+}
+
+TEST(MatrixBuilderTest, RefitStartsAnEmptyPendingSnapshot) {
+  // Rows appended under one fit index that fit's feature space; a re-fit
+  // must not carry them into the next snapshot.
+  const auto campaign = testing_util::SmallCampaign();
+  const Corpus small = MiniCorpus();
+  MatrixBuilder builder;
+  builder.Fit(campaign.corpus);
+  std::vector<size_t> first_50(50);
+  for (size_t i = 0; i < first_50.size(); ++i) first_50[i] = i;
+  builder.Append(campaign.corpus, first_50);
+  ASSERT_EQ(builder.num_pending(), 50u);
+  builder.Fit(small);
+  ASSERT_LT(builder.vocabulary().size(), 50u);
+  EXPECT_EQ(builder.num_pending(), 0u);
+  builder.Append(small, {2, 3});
+  const DatasetMatrices got = builder.EmitSnapshot(small);
+  ExpectSameDataset(got, builder.Build(small, {2, 3}));
+
+  builder.Append(small, {0, 1});
+  builder.FitStreamBegin();
+  EXPECT_EQ(builder.num_pending(), 0u);
+}
+
+/// Feeds every tweet of `corpus` through the two streaming-fit passes.
+void StreamFit(const Corpus& corpus, MatrixBuilder* builder) {
+  builder->FitStreamBegin();
+  for (const Tweet& t : corpus.tweets()) builder->FitStreamCount(t.text);
+  builder->FitStreamAdmitBegin();
+  for (const Tweet& t : corpus.tweets()) builder->FitStreamAdmit(t.text);
+  builder->FitStreamFinish();
+}
+
+TEST(MatrixBuilderTest, StreamedFitMatchesInMemoryFit) {
+  std::vector<SyntheticDataset> campaigns;
+  campaigns.push_back(testing_util::SmallCampaign());
+  campaigns.push_back(GenerateSynthetic(Prop30LikeConfig(1)));
+  for (const SyntheticDataset& d : campaigns) {
+    MatrixBuilder whole;
+    whole.Fit(d.corpus);
+    MatrixBuilder streamed;
+    StreamFit(d.corpus, &streamed);
+    ASSERT_EQ(streamed.vocabulary().tokens(), whole.vocabulary().tokens());
+
+    // Document frequencies, at the vectorizer the builders wrap.
+    const Tokenizer tokenizer;
+    std::vector<std::vector<std::string>> docs;
+    for (const Tweet& t : d.corpus.tweets()) {
+      docs.push_back(tokenizer.Tokenize(t.text));
+    }
+    DocumentVectorizer fit;
+    fit.Fit(docs);
+    DocumentVectorizer stream_fit;
+    stream_fit.FitStreamBegin();
+    for (const auto& doc : docs) {
+      stream_fit.FitStreamCount({doc.begin(), doc.end()});
+    }
+    stream_fit.FitStreamAdmitBegin();
+    for (const auto& doc : docs) {
+      stream_fit.FitStreamAdmit({doc.begin(), doc.end()});
+    }
+    stream_fit.FitStreamFinish();
+    ASSERT_EQ(stream_fit.vocabulary().tokens(), fit.vocabulary().tokens());
+    EXPECT_EQ(stream_fit.num_fit_documents(), fit.num_fit_documents());
+    for (size_t f = 0; f < fit.vocabulary().size(); ++f) {
+      ASSERT_EQ(stream_fit.DocumentFrequency(f), fit.DocumentFrequency(f));
+    }
+
+    // Every day's snapshot, byte for byte.
+    for (const Snapshot& day : SplitByDay(d.corpus)) {
+      whole.Append(d.corpus, day.tweet_ids);
+      streamed.Append(d.corpus, day.tweet_ids);
+      const DatasetMatrices want = whole.EmitSnapshot(d.corpus, day.last_day);
+      const DatasetMatrices got =
+          streamed.EmitSnapshot(d.corpus, day.last_day);
+      ExpectSameDataset(got, want);
+      ASSERT_EQ(got.xp.values().size(), want.xp.values().size());
+      ASSERT_EQ(got.xu.values().size(), want.xu.values().size());
+      EXPECT_EQ(std::memcmp(got.xp.values().data(), want.xp.values().data(),
+                            got.xp.values().size() * sizeof(double)),
+                0);
+      EXPECT_EQ(std::memcmp(got.xu.values().data(), want.xu.values().data(),
+                            got.xu.values().size() * sizeof(double)),
+                0);
+    }
+  }
 }
 
 // --- snapshots ---------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "src/core/snapshot_solver.h"
 #include "src/core/updates.h"
 #include "src/data/snapshots.h"
+#include "src/data/synthetic.h"
 #include "src/eval/metrics.h"
 #include "src/matrix/ops.h"
 #include "tests/test_util.h"
@@ -310,6 +312,80 @@ TEST(OnlineTest, DivergenceRestoresLastFiniteIterateAndRollsForward) {
   ASSERT_TRUE(diverged_state.Write(&diverged_bytes).ok());
   ASSERT_TRUE(capped_state.Write(&capped_bytes).ok());
   EXPECT_EQ(diverged_bytes.str(), capped_bytes.str());
+}
+
+/// A divergence that real serving input reaches: campaign 0 of the
+/// serve_fleet benchmark (Prop30LikeConfig(1), 100 days, prior
+/// CorruptLexicon(true_lexicon, 0.6, 0.05, 99)) served day by day with the
+/// default OnlineConfig. Day 10 (n = 170, m = 89, l = 692) blows up: the
+/// objective reaches ~1.95e284 at iteration 10 and turns non-finite at
+/// iteration 11. RunSweeps rolls back to the iteration-10 iterate, which is
+/// finite but already blown up. This pins that behaviour (and the warning
+/// naming the shape and the last finite objective) until the numeric fix
+/// lands; that fix moves accuracy, so it will re-record this test.
+TEST(OnlineTest, ServeFleetDay10DivergenceRollsBackToBlownUpIterate) {
+  using testing_util::BitEqual;
+  SyntheticConfig corpus_config = Prop30LikeConfig(1);
+  corpus_config.num_days = 100;
+  const SyntheticDataset dataset = GenerateSynthetic(corpus_config);
+  MatrixBuilder builder;
+  builder.Fit(dataset.corpus);
+  const DenseMatrix sf0 =
+      CorruptLexicon(dataset.true_lexicon, 0.6, 0.05, 99)
+          .BuildSf0(builder.vocabulary(), 3);
+  const OnlineConfig config;
+  const SnapshotSolver solver(config, sf0);
+  const std::vector<Snapshot> days = SplitByDay(dataset.corpus);
+  ASSERT_GT(days.size(), 10u);
+
+  StreamState state;
+  for (size_t d = 0; d < 10; ++d) {
+    const TriClusterResult r = solver.Solve(
+        builder.Build(dataset.corpus, days[d].tweet_ids, days[d].last_day),
+        &state);
+    ASSERT_TRUE(std::isfinite(r.loss_history.back().Total())) << "day " << d;
+  }
+  const DatasetMatrices day10 =
+      builder.Build(dataset.corpus, days[10].tweet_ids, days[10].last_day);
+  ASSERT_EQ(day10.num_tweets(), 170u);
+  ASSERT_EQ(day10.num_users(), 89u);
+  ASSERT_EQ(day10.num_features(), 692u);
+
+  StreamState diverged_state = state;
+  ::testing::internal::CaptureStderr();
+  const TriClusterResult diverged = solver.Solve(day10, &diverged_state);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("diverged at iteration 11 (n=170 m=89 l=692, last "
+                     "finite objective 1.95"),
+            std::string::npos)
+      << log;
+
+  EXPECT_EQ(diverged.iterations, 12);
+  EXPECT_FALSE(diverged.converged);
+  ASSERT_EQ(diverged.loss_history.size(), 12u);
+  const double last = diverged.loss_history.back().Total();
+  EXPECT_TRUE(std::isfinite(last));
+  EXPECT_GT(last, 1e280);
+  for (const DenseMatrix* m :
+       {&diverged.sp, &diverged.su, &diverged.sf, &diverged.hp,
+        &diverged.hu}) {
+    for (size_t i = 0; i < m->size(); ++i) {
+      ASSERT_TRUE(std::isfinite(m->data()[i]));
+    }
+  }
+
+  // The rollback hands back exactly the iteration-10 iterate.
+  OnlineConfig capped_config = config;
+  capped_config.base.max_iterations = 11;
+  StreamState capped_state = state;
+  const TriClusterResult capped =
+      SnapshotSolver(capped_config, sf0).Solve(day10, &capped_state);
+  EXPECT_EQ(capped.iterations, 11);
+  EXPECT_TRUE(BitEqual(diverged.sp, capped.sp));
+  EXPECT_TRUE(BitEqual(diverged.su, capped.su));
+  EXPECT_TRUE(BitEqual(diverged.sf, capped.sf));
+  EXPECT_TRUE(BitEqual(diverged.hp, capped.hp));
+  EXPECT_TRUE(BitEqual(diverged.hu, capped.hu));
 }
 
 /// A snapshot fit with the temporal Su pull active is bitwise equal to
