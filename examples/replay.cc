@@ -18,8 +18,8 @@
 /// corpus in the canonical format).
 ///
 /// --stream replays through the bounded-memory streaming reader
-/// (ReadTsvStream / TsvStreamReader, src/data/corpus_io.h): two
-/// streaming fit passes plus one replay pass, holding only one day-chunk
+/// (ReadTsvStream / TsvStreamReader, src/data/corpus_io.h): one
+/// streaming fit pass plus one replay pass, holding only one day-chunk
 /// of tweet text at a time — then replays the whole-file path over the
 /// same TSV and verifies the factors and accuracy timelines are
 /// bit-identical. Exits non-zero on any mismatch. Pacing/deadline/store
@@ -360,9 +360,9 @@ int RunStreamingReplay(const CliOptions& options) {
     lexicon = SentimentLexicon::BuiltinEnglish();
   }
 
-  // --- two streaming passes fit the feature space ---------------------------
-  // (document-frequency count, then vocabulary admission — the same
-  // feature space MatrixBuilder::Fit learns, without the corpus in RAM).
+  // --- one streaming pass fits the feature space ---------------------------
+  // (the same feature space MatrixBuilder::Fit learns, without the corpus
+  // in RAM).
   MatrixBuilder builder;
   builder.FitStreamBegin();
   int stream_days = 0;
@@ -377,16 +377,6 @@ int RunStreamingReplay(const CliOptions& options) {
     stream_days = counted.value().num_days();
   }
   if (stream_days == 0) return Fail("corpus has no tweets");
-  builder.FitStreamAdmitBegin();
-  {
-    auto admitted = ReadTsvStream(
-        path, [&](int /*day*/, const Corpus& c,
-                  const std::vector<size_t>& ids) {
-          for (size_t id : ids) builder.FitStreamAdmit(c.tweets()[id].text);
-          return Status::OK();
-        });
-    if (!admitted.ok()) return Fail(admitted.status().ToString());
-  }
   builder.FitStreamFinish();
   std::cerr << "streaming fit: " << builder.vocabulary().size()
             << " vocabulary terms over " << stream_days << " days\n";
@@ -453,7 +443,7 @@ int RunStreamingReplay(const CliOptions& options) {
   }
 
   std::vector<std::vector<TriClusterResult>> streamed(num_streams);
-  driver.set_snapshot_callback(
+  driver.AddObserver(
       [&](int /*day*/, const serving::CampaignEngine::SnapshotReport& r) {
         if (r.fitted) streamed[r.campaign].push_back(r.result);
       });
@@ -504,7 +494,7 @@ int RunStreamingReplay(const CliOptions& options) {
     whole_driver.AddStream(s, whole_streams[s]);
   }
   std::vector<std::vector<TriClusterResult>> direct(num_streams);
-  whole_driver.set_snapshot_callback(
+  whole_driver.AddObserver(
       [&](int /*day*/, const serving::CampaignEngine::SnapshotReport& r) {
         if (r.fitted) direct[r.campaign].push_back(r.result);
       });
@@ -579,7 +569,7 @@ int RunReplay(const CliOptions& options) {
     lexicon = SentimentLexicon::BuiltinEnglish();
     if (!options.write_demo.empty()) {
       // With --input, --write-demo re-exports the loaded corpus in the
-      // canonical format (normalizes legacy files; see docs/FORMATS.md).
+      // canonical format (normalizes CRLF line endings; docs/FORMATS.md).
       const Status written = WriteTsv(corpus, options.write_demo);
       if (!written.ok()) return Fail(written.ToString());
       std::cerr << "re-exported corpus to " << options.write_demo << "\n";
@@ -617,7 +607,7 @@ int RunReplay(const CliOptions& options) {
   // Capture each campaign's fitted factors for the verification pass.
   std::vector<std::vector<TriClusterResult>> replayed(streams.size());
   std::vector<std::vector<size_t>> replayed_sizes(streams.size());
-  driver.set_snapshot_callback(
+  driver.AddObserver(
       [&](int /*day*/, const serving::CampaignEngine::SnapshotReport& r) {
         if (!r.fitted) return;
         replayed[r.campaign].push_back(r.result);

@@ -70,7 +70,10 @@ class OnlineTriClusterer {
   Status SaveState(const std::string& path) const;
 
   /// Restores a checkpoint written by SaveState. The clusterer must have
-  /// been constructed with the same k and feature dimensionality.
+  /// been constructed with the same k and feature dimensionality. The
+  /// file's integrity trailer is verified first and is required: a file
+  /// cut off anywhere, including just before the trailer, is refused with
+  /// a `<path>: ...` diagnostic and the current state is kept.
   Status RestoreState(const std::string& path);
 
  private:

@@ -23,13 +23,13 @@ constexpr int kMaxDay = 36500;
 }  // namespace
 
 bool ParseSentimentLabel(const std::string& token, Sentiment* out) {
-  if (token == "pos" || token == "0") {
+  if (token == "pos") {
     *out = Sentiment::kPositive;
-  } else if (token == "neg" || token == "1") {
+  } else if (token == "neg") {
     *out = Sentiment::kNegative;
-  } else if (token == "neu" || token == "2") {
+  } else if (token == "neu") {
     *out = Sentiment::kNeutral;
-  } else if (token == "unlabeled" || token == "-1") {
+  } else if (token == "unlabeled") {
     *out = Sentiment::kUnlabeled;
   } else {
     return false;
@@ -87,7 +87,7 @@ std::string UnescapeTsvField(const std::string& text) {
         ++i;
         break;
       default:
-        // Unknown escape: keep the backslash so legacy text is unchanged.
+        // Unknown escape: keep the backslash (docs/FORMATS.md §1.3).
         raw += '\\';
     }
   }
@@ -132,40 +132,24 @@ namespace {
 /// Row-level TSV parsing shared by ReadTsv and TsvStreamReader, so both
 /// paths validate identically and emit byte-identical
 /// "<source>:<line>:" diagnostics. The context tracks the file-global
-/// line number and the legacy raw-text mode across day-chunk boundaries.
+/// line number across day-chunk boundaries.
 struct TsvParseContext {
   std::string source_name;
   size_t line_no = 0;
-  // Files from the pre-corpus_io writer open with a "#users\t<count>"
-  // banner as their FIRST line and wrote handle/text fields raw (no
-  // escaping) — a literal backslash-t in them is text, not a tab. Detect
-  // the banner (first line only, so a stray comment in a new-format file
-  // cannot flip the mode mid-stream) and skip unescaping so those bytes
-  // load unchanged.
-  bool legacy_raw_text = false;
 
   Status Fail(const std::string& why) const {
     return Status::ParseError(source_name + ":" + std::to_string(line_no) +
                               ": " + why);
   }
 
-  std::string Decode(const std::string& field) const {
-    return legacy_raw_text ? field : UnescapeTsvField(field);
-  }
-
-  /// Counts, banner-detects, and CRLF-normalizes one raw line. Returns
-  /// false when the line carries no record (blank or comment).
+  /// Counts and CRLF-normalizes one raw line. Returns false when the line
+  /// carries no record (blank or comment).
   bool Preprocess(std::string* line) {
     ++line_no;
-    if (line_no == 1 && line->compare(0, 7, "#users\t") == 0) {
-      legacy_raw_text = true;
-    }
     // Tolerate CRLF line endings (externally-prepared files): the
     // trailing CR is a line-ending artifact, not field content — real
-    // carriage returns inside text arrive as the \r escape. Legacy files
-    // are exempt: their writer escaped nothing, so a trailing CR there is
-    // content, which the pre-corpus_io loader preserved.
-    if (!legacy_raw_text && !line->empty() && line->back() == '\r') {
+    // carriage returns inside text arrive as the \r escape.
+    if (!line->empty() && line->back() == '\r') {
       line->pop_back();
     }
     return !(line->empty() || (*line)[0] == '#');
@@ -188,7 +172,7 @@ struct TsvParseContext {
     if (!ParseSentimentLabel(fields[3], &label)) {
       return Fail("unknown label '" + fields[3] + "'");
     }
-    corpus->AddUser(Decode(fields[2]), label);
+    corpus->AddUser(UnescapeTsvField(fields[2]), label);
     return Status::OK();
   }
 
@@ -230,8 +214,8 @@ struct TsvParseContext {
       return Fail("retweet_of " + fields[5] +
                   " must reference an earlier tweet");
     }
-    corpus->AddTweet(user, static_cast<int>(day), Decode(fields[6]), label,
-                     static_cast<ptrdiff_t>(retweet_of));
+    corpus->AddTweet(user, static_cast<int>(day), UnescapeTsvField(fields[6]),
+                     label, static_cast<ptrdiff_t>(retweet_of));
     *day_out = day;
     return Status::OK();
   }

@@ -45,15 +45,6 @@ void MatrixBuilder::FitStreamCount(const std::string& text) {
   vectorizer_.FitStreamCount(tokens);
 }
 
-void MatrixBuilder::FitStreamAdmitBegin() { vectorizer_.FitStreamAdmitBegin(); }
-
-void MatrixBuilder::FitStreamAdmit(const std::string& text) {
-  std::string buffer;
-  std::vector<std::string_view> tokens;
-  tokenizer_.Tokenize(text, &buffer, &tokens);
-  vectorizer_.FitStreamAdmit(tokens);
-}
-
 void MatrixBuilder::FitStreamFinish() {
   vectorizer_.FitStreamFinish();
   fitted_ = true;

@@ -68,25 +68,20 @@ class MatrixBuilder {
   void Fit(const Corpus& corpus);
 
   // --- streaming Fit (bounded memory) ---------------------------------------
-  // Fit for corpora that do not fit in RAM: feed every tweet's text once
-  // to FitStreamCount, then once more IN THE SAME (id) ORDER to
-  // FitStreamAdmit, then call FitStreamFinish — typically two passes of
-  // ReadTsvStream over the same file. The learned feature space is
+  // Fit for corpora that do not fit in RAM: feed every tweet's text once,
+  // in id order, to FitStreamCount, then call FitStreamFinish — typically
+  // one ReadTsvStream pass over the file. The learned feature space is
   // identical to Fit() over the same texts, and every later Append /
   // EmitSnapshot row matches the in-memory path bit for bit (Append
   // re-tokenizes on the fly; no per-tweet feature ids are retained, so
   // Build() — which requires them — CHECK-fails on a stream-fitted
   // builder).
 
-  /// Starts the document-frequency pass; discards any previous fit and
-  /// the pending snapshot, as Fit() does.
+  /// Starts a streaming fit; discards any previous fit and the pending
+  /// snapshot, as Fit() does.
   void FitStreamBegin();
-  /// Folds one tweet's text into the document-frequency pass.
+  /// Folds one tweet's text into the streaming fit.
   void FitStreamCount(const std::string& text);
-  /// Ends the df pass and starts the vocabulary-admission pass.
-  void FitStreamAdmitBegin();
-  /// Folds one tweet's text into the admission pass (same order).
-  void FitStreamAdmit(const std::string& text);
   /// Completes the streaming fit; the builder is now Fit.
   void FitStreamFinish();
 

@@ -127,8 +127,8 @@ class TimelineEvaluator {
   /// drivers may call it directly.
   void Observe(int day, const serving::CampaignEngine::SnapshotReport& report);
 
-  /// Registers this evaluator as an additional observer on `driver`
-  /// (ReplayDriver::AddObserver — existing callbacks keep working). The
+  /// Registers this evaluator as an observer on `driver`
+  /// (ReplayDriver::AddObserver; other observers keep working). The
   /// evaluator must outlive the driver's replays.
   void Attach(serving::ReplayDriver* driver);
 

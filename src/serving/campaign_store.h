@@ -75,9 +75,9 @@ struct RestoreReport {
 /// length trailer (docs/FORMATS.md §4); Restore verifies before parsing,
 /// so a flipped byte or a truncated file is reported as
 /// `<path>: checksum mismatch ...` / `<path>: truncated payload ...`
-/// instead of being parsed into a subtly wrong fleet. Manifest format
-/// version 2 declares the trailers mandatory; version-1 stores (written
-/// before checksums existed) still load, with a warn-once diagnostic.
+/// instead of being parsed into a subtly wrong fleet. The trailers are
+/// mandatory, so a file whose trailer was cut off is refused as
+/// `<path>: no integrity trailer (truncated?)`.
 ///
 /// Campaigns are keyed by name. Configs, lexicon priors, corpora, and
 /// *pending ingestion queues* are not persisted (the state contract
@@ -140,8 +140,6 @@ class TRICLUST_EXTERNALLY_SYNCHRONIZED CampaignStore {
  private:
   std::string ManifestPath() const;
   FileSystem* fs() const;
-  /// Reads + verifies a whole file with transient-error retry.
-  Result<std::string> ReadFileWithRetry(const std::string& path) const;
   /// Shared implementation of Restore/RestorePartial.
   Status RestoreImpl(CampaignEngine* engine, bool allow_partial,
                      RestoreReport* report) const;

@@ -41,14 +41,15 @@ uint32_t DocumentVectorizer::CountToken(std::string_view token,
   return it->second;
 }
 
-void DocumentVectorizer::AdmitTerm(uint32_t term_id) {
-  Term& term = terms_[term_id];
-  if (term.stop_word || term.feature != kNoFeature ||
-      term.document_frequency < options_.min_document_frequency) {
-    return;
+void DocumentVectorizer::AdmitTerms() {
+  for (Term& term : terms_) {
+    if (term.stop_word ||
+        term.document_frequency < options_.min_document_frequency) {
+      continue;
+    }
+    term.feature = static_cast<uint32_t>(vocabulary_.GetOrAdd(term.text));
+    document_frequency_.push_back(term.document_frequency);
   }
-  term.feature = static_cast<uint32_t>(vocabulary_.GetOrAdd(term.text));
-  document_frequency_.push_back(term.document_frequency);
 }
 
 void DocumentVectorizer::FinishFit(size_t num_documents) {
@@ -79,8 +80,8 @@ std::vector<DocumentVectorizer::FeatureIds> DocumentVectorizer::FitFeatureIds(
     const std::function<const std::vector<std::string_view>&(size_t)>&
         document) {
   BeginFit();
-  // Document-frequency pass. Each document is read once; its term ids are
-  // kept for the admission pass and then rewritten into feature ids.
+  // Each document is read once; its term ids are kept and then rewritten
+  // into feature ids.
   std::vector<FeatureIds> ids(num_documents);
   for (size_t d = 0; d < num_documents; ++d) {
     const std::vector<std::string_view>& tokens = document(d);
@@ -89,10 +90,7 @@ std::vector<DocumentVectorizer::FeatureIds> DocumentVectorizer::FitFeatureIds(
       ids[d].push_back(CountToken(token, d));
     }
   }
-  // Admission pass over the same term sequence: first-appearance order.
-  for (const FeatureIds& terms : ids) {
-    for (uint32_t term_id : terms) AdmitTerm(term_id);
-  }
+  AdmitTerms();
   for (FeatureIds& list : ids) {
     size_t kept = 0;
     for (uint32_t term_id : list) {
@@ -107,43 +105,24 @@ std::vector<DocumentVectorizer::FeatureIds> DocumentVectorizer::FitFeatureIds(
 
 void DocumentVectorizer::FitStreamBegin() {
   BeginFit();
-  stream_phase_ = StreamPhase::kCounting;
-  stream_counted_docs_ = 0;
-  stream_admitted_docs_ = 0;
+  streaming_ = true;
+  stream_documents_ = 0;
 }
 
 void DocumentVectorizer::FitStreamCount(
     const std::vector<std::string_view>& document) {
-  TRICLUST_CHECK(stream_phase_ == StreamPhase::kCounting);
+  TRICLUST_CHECK(streaming_);
   for (std::string_view token : document) {
-    CountToken(token, stream_counted_docs_);
+    CountToken(token, stream_documents_);
   }
-  ++stream_counted_docs_;
-}
-
-void DocumentVectorizer::FitStreamAdmitBegin() {
-  TRICLUST_CHECK(stream_phase_ == StreamPhase::kCounting);
-  stream_phase_ = StreamPhase::kAdmitting;
-}
-
-void DocumentVectorizer::FitStreamAdmit(
-    const std::vector<std::string_view>& document) {
-  TRICLUST_CHECK(stream_phase_ == StreamPhase::kAdmitting);
-  for (std::string_view token : document) {
-    term_key_.assign(token);
-    const auto it = term_ids_.find(term_key_);
-    if (it != term_ids_.end()) AdmitTerm(it->second);
-  }
-  ++stream_admitted_docs_;
+  ++stream_documents_;
 }
 
 void DocumentVectorizer::FitStreamFinish() {
-  TRICLUST_CHECK(stream_phase_ == StreamPhase::kAdmitting);
-  // Unequal pass lengths mean the caller re-streamed a different corpus —
-  // the vocabulary would silently diverge from the idf denominators.
-  TRICLUST_CHECK_EQ(stream_counted_docs_, stream_admitted_docs_);
-  FinishFit(stream_counted_docs_);
-  stream_phase_ = StreamPhase::kNone;
+  TRICLUST_CHECK(streaming_);
+  AdmitTerms();
+  FinishFit(stream_documents_);
+  streaming_ = false;
 }
 
 size_t DocumentVectorizer::DocumentFrequency(size_t id) const {

@@ -48,8 +48,9 @@ struct VectorizerOptions {
 ///
 /// Every fit interns each distinct token once to a dense term id, tests it
 /// against the stop-word list once, and counts its document frequency with
-/// a last-seen-document stamp. Features are admitted in first-appearance
-/// order, so feature ids depend only on the token sequence.
+/// a last-seen-document stamp. Term ids are assigned in first-appearance
+/// order and features are admitted in term-id order once every document
+/// has been counted, so feature ids depend only on the token sequence.
 class DocumentVectorizer {
  public:
   /// Feature ids of one document's in-vocabulary tokens, in token order
@@ -87,25 +88,18 @@ class DocumentVectorizer {
   FeatureIds FeatureIdsOf(const std::vector<std::string_view>& tokens) const;
 
   // --- streaming Fit (bounded memory) ---------------------------------------
-  // Two-pass Fit for document sets that do not fit in RAM: feed every
-  // document once to FitStreamCount (the document-frequency pass), then
-  // once more IN THE SAME ORDER to FitStreamAdmit (the vocabulary-admission
-  // pass), then call FitStreamFinish. Both passes run the same per-token
-  // steps as Fit(), so the learned vocabulary, document frequencies,
-  // document count — and therefore every later Transform — are identical
-  // to Fit() over the same documents; only the term table (one entry per
-  // distinct token, not per corpus token) is held between the passes.
+  // One-pass Fit for document sets that do not fit in RAM: feed every
+  // document once to FitStreamCount, then call FitStreamFinish. The
+  // per-token steps are Fit()'s, so the learned vocabulary, document
+  // frequencies, document count — and therefore every later Transform —
+  // are identical to Fit() over the same documents; only the term table
+  // (one entry per distinct token, not per corpus token) is held.
 
-  /// Starts the document-frequency pass; discards any previous fit.
+  /// Starts a streaming fit; discards any previous fit.
   void FitStreamBegin();
-  /// Folds one document into the document-frequency pass.
+  /// Folds one document into the streaming fit.
   void FitStreamCount(const std::vector<std::string_view>& document);
-  /// Ends the df pass and starts the vocabulary-admission pass.
-  void FitStreamAdmitBegin();
-  /// Folds one document into the admission pass (same order as counted).
-  void FitStreamAdmit(const std::vector<std::string_view>& document);
-  /// Completes the streaming fit. CHECK-fails unless both passes saw the
-  /// same number of documents.
+  /// Admits the vocabulary and completes the streaming fit.
   void FitStreamFinish();
 
   /// Learned vocabulary (valid after Fit()).
@@ -135,9 +129,10 @@ class DocumentVectorizer {
   /// Interns `token` and counts it for document `document`; returns its
   /// term id.
   uint32_t CountToken(std::string_view token, size_t document);
-  /// Admits term `term_id` as the next feature unless it is a stop word,
-  /// below the document-frequency floor, or already admitted.
-  void AdmitTerm(uint32_t term_id);
+  /// Admits every term, in term-id (= first-appearance) order, as the next
+  /// feature unless it is a stop word or below the document-frequency
+  /// floor.
+  void AdmitTerms();
   /// Fixes the fit over `num_documents` documents and drops the term table.
   void FinishFit(size_t num_documents);
 
@@ -156,10 +151,8 @@ class DocumentVectorizer {
 
   // Streaming-fit state, live only between FitStreamBegin and
   // FitStreamFinish.
-  enum class StreamPhase { kNone, kCounting, kAdmitting };
-  StreamPhase stream_phase_ = StreamPhase::kNone;
-  size_t stream_counted_docs_ = 0;
-  size_t stream_admitted_docs_ = 0;
+  bool streaming_ = false;
+  size_t stream_documents_ = 0;
 };
 
 }  // namespace triclust

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -255,6 +256,57 @@ TEST(CheckpointTest, RejectsWrongFeatureSpace) {
   std::remove(path.c_str());
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(CheckpointTest, RefusesFileCutAtAnyLineBoundary) {
+  // The integrity trailer is mandatory: a checkpoint cut off exactly
+  // before its trailer line, or at any earlier line boundary, is refused
+  // with a diagnostic naming the path, and the current state is kept.
+  const auto p = testing_util::MakeSmallProblem();
+  OnlineConfig config;
+  config.base.max_iterations = 5;
+  config.base.track_loss = false;
+  OnlineTriClusterer online(config, p.sf0);
+  const auto snapshots = SplitByDay(p.dataset.corpus);
+  online.ProcessSnapshot(
+      p.builder.Build(p.dataset.corpus, snapshots[0].tweet_ids, 0));
+  const std::string path = ::testing::TempDir() + "/online_cut.ckpt";
+  ASSERT_TRUE(online.SaveState(path).ok());
+  std::string saved;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    saved = bytes.str();
+  }
+  const size_t trailer_start = saved.rfind("triclust-crc32 ");
+  ASSERT_NE(trailer_start, std::string::npos);
+  ASSERT_EQ(saved[trailer_start - 1], '\n');
+
+  OnlineTriClusterer target(config, p.sf0);
+  std::ostringstream before;
+  ASSERT_TRUE(target.state().Write(&before).ok());
+  size_t cuts = 0;
+  for (size_t cut = 0; cut <= trailer_start; ++cut) {
+    if (cut > 0 && saved[cut - 1] != '\n') continue;  // line boundaries only
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << saved.substr(0, cut);
+    }
+    const Status status = target.RestoreState(path);
+    ASSERT_FALSE(status.ok()) << "cut at byte " << cut;
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << "cut at byte " << cut;
+    EXPECT_NE(status.message().find(path + ": no integrity trailer"),
+              std::string::npos)
+        << status.ToString();
+    ++cuts;
+  }
+  std::remove(path.c_str());
+  EXPECT_GT(cuts, 2u);
+  std::ostringstream after;
+  ASSERT_TRUE(target.state().Write(&after).ok());
+  EXPECT_EQ(after.str(), before.str());
+  EXPECT_EQ(target.timestep(), 0);
 }
 
 TEST(CheckpointTest, MissingFileFailsCleanly) {

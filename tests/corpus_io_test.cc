@@ -1,6 +1,6 @@
 /// Tests of the corpus TSV loaders (src/data/corpus_io.h): lossless
-/// round-trip including temporal labels and escaped text, legacy-format
-/// compatibility, and line-numbered diagnostics for malformed input.
+/// round-trip including temporal labels and escaped text, CRLF tolerance,
+/// and line-numbered diagnostics for malformed input.
 
 #include "src/data/corpus_io.h"
 
@@ -105,66 +105,30 @@ TEST(CorpusIoTest, EscapingRoundTripsEveryControlCharacter) {
   const std::string escaped = EscapeTsvField(text);
   EXPECT_EQ(escaped.find('\t'), std::string::npos);
   EXPECT_EQ(escaped.find('\n'), std::string::npos);
-  // Unknown escapes pass through so legacy raw backslashes survive.
-  EXPECT_EQ(UnescapeTsvField("legacy \\x path"), "legacy \\x path");
+  // Unknown escapes pass through verbatim (docs/FORMATS.md §1.3).
+  EXPECT_EQ(UnescapeTsvField("raw \\x path"), "raw \\x path");
 }
 
-TEST(CorpusIoTest, ReadsLegacyIntegerLabelFormat) {
-  // The pre-corpus_io writer: "#users" banner, integer labels, no D rows.
-  const std::string legacy =
-      "#users\t2\n"
-      "U\t0\talice\t0\n"
-      "U\t1\tbob\t-1\n"
-      "T\t0\t0\t0\t0\t-1\thello world\n"
-      "T\t1\t1\t2\t1\t0\thello again\n";
-  std::istringstream in(legacy);
-  auto loaded = ReadTsv(&in);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const Corpus& c = loaded.value();
-  EXPECT_EQ(c.user(0).label, Sentiment::kPositive);
-  EXPECT_EQ(c.user(1).label, Sentiment::kUnlabeled);
-  EXPECT_EQ(c.tweet(1).label, Sentiment::kNegative);
-  EXPECT_EQ(c.tweet(1).retweet_of, 0);
-  EXPECT_FALSE(c.HasTemporalUserLabels());
-}
-
-TEST(CorpusIoTest, LegacyBannerDisablesUnescaping) {
-  // The legacy writer never escaped, so a literal backslash-t in its text
-  // is two bytes of text, not a tab; the "#users" banner must switch the
-  // reader to raw fields. Without the banner the same bytes decode.
-  const std::string body =
-      "U\t0\talice\t0\n"
-      "T\t0\t0\t0\t0\t-1\tsaved to C:\\temp today\n";
+TEST(CorpusIoTest, IntegerLabelsAndUsersBannerAreNotSpecial) {
+  // The integer label codes and the "#users" banner of the pre-corpus_io
+  // writer are not part of the format: the banner is an ordinary comment
+  // (escapes still decode, a trailing CR is still a line ending), and an
+  // integer label is an unknown label.
   {
-    std::istringstream in("#users\t1\n" + body);
-    auto loaded = ReadTsv(&in);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded.value().tweet(0).text, "saved to C:\\temp today");
-  }
-  {
-    std::istringstream in(body);
-    auto loaded = ReadTsv(&in);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded.value().tweet(0).text, "saved to C:\temp today");
-  }
-  {
-    // The banner only counts on line 1: a stray "#users" comment later in
-    // a new-format file must not disable unescaping mid-stream.
-    std::istringstream in("# new format\n#users\t1\n" + body);
-    auto loaded = ReadTsv(&in);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded.value().tweet(0).text, "saved to C:\temp today");
-  }
-  {
-    // Legacy mode is byte-exact like the old loader: a trailing raw CR in
-    // legacy text is content, not a CRLF artifact, and must survive.
     std::istringstream in(
         "#users\t1\n"
-        "U\t0\talice\t0\n"
-        "T\t0\t0\t0\t0\t-1\ttrailing cr\r\n");
+        "U\t0\talice\tpos\n"
+        "T\t0\t0\t0\tpos\t-1\tsaved to C:\\temp today\r\n");
     auto loaded = ReadTsv(&in);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded.value().tweet(0).text, "trailing cr\r");
+    EXPECT_EQ(loaded.value().tweet(0).text, "saved to C:\temp today");
+  }
+  for (const char* label : {"0", "1", "2", "-1"}) {
+    std::istringstream in(std::string("U\t0\talice\t") + label + "\n");
+    auto loaded = ReadTsv(&in, "legacy.tsv");
+    ASSERT_FALSE(loaded.ok()) << label;
+    EXPECT_EQ(loaded.status().message(),
+              std::string("legacy.tsv:1: unknown label '") + label + "'");
   }
 }
 

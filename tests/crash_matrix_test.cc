@@ -11,7 +11,8 @@
 //    checkpoint is bad; the rest of the fleet restores and keeps serving.
 //  - Missing checkpoint: the diagnostic names the file, the manifest, and
 //    the generation.
-//  - Legacy: a hand-written format-1 (pre-checksum) store still loads.
+//  - Legacy: a hand-written format-1 (pre-checksum) store is refused and
+//    leaves the engine untouched.
 
 #include <algorithm>
 #include <sstream>
@@ -25,6 +26,7 @@
 #include "src/data/snapshots.h"
 #include "src/serving/campaign_engine.h"
 #include "src/serving/campaign_store.h"
+#include "src/util/file_util.h"
 #include "src/util/fs.h"
 #include "src/util/retry.h"
 #include "src/util/status.h"
@@ -270,8 +272,8 @@ TEST(CorruptionTest, FlippedCheckpointBytesFailRestoreWithDiagnostic) {
     EXPECT_NE(status.message().find(ckpt_path), std::string::npos)
         << "diagnostic must name the file: " << status.ToString();
   }
-  // Truncation (losing the trailer entirely) is also refused: a format-2
-  // store never has trailer-less checkpoints.
+  // Truncation (losing the trailer entirely) is also refused: every
+  // checkpoint carries a mandatory trailer.
   ClobberFile(ckpt_path, pristine.value().substr(0, 10));
   EXPECT_FALSE(store.Restore(&target).ok());
 }
@@ -433,7 +435,7 @@ TEST(StoreRetryTest, SaveSurvivesTransientFailuresViaRetryPolicy) {
 
 // --- legacy format-1 stores --------------------------------------------------
 
-TEST(LegacyStoreTest, TrailerlessFormat1StoreStillLoads) {
+TEST(LegacyStoreTest, TrailerlessFormat1StoreIsRefused) {
   FleetHarness fleet(1);
   serving::CampaignEngine engine;
   fleet.Register(&engine);
@@ -445,25 +447,34 @@ TEST(LegacyStoreTest, TrailerlessFormat1StoreStillLoads) {
   const std::string dir = FreshDir("legacy_store");
   ASSERT_TRUE(GetDefaultFileSystem()->CreateDirectories(dir).ok());
   ClobberFile(dir + "/campaign_0.g1.ckpt", state_bytes);
-  ClobberFile(dir + "/MANIFEST",
-              "triclust-campaign-store 1\n1 1\ncampaign_0.g1.ckpt " +
-                  std::to_string(engine.state(0).timestep) + " campaign-0\n");
+  const std::string manifest =
+      "triclust-campaign-store 1\n1 1\ncampaign_0.g1.ckpt " +
+      std::to_string(engine.state(0).timestep) + " campaign-0\n";
+  ClobberFile(dir + "/MANIFEST", manifest);
 
   serving::CampaignEngine restored;
   fleet.Register(&restored);
+  const std::string fresh_bytes = StateBytes(restored.state(0));
+  ASSERT_NE(fresh_bytes, state_bytes);
   const serving::CampaignStore store(dir);
-  const Status status = store.Restore(&restored);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(StateBytes(restored.state(0)), state_bytes);
+  Status status = store.Restore(&restored);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
+  EXPECT_NE(status.message().find(dir + "/MANIFEST: no integrity trailer"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(StateBytes(restored.state(0)), fresh_bytes);
 
-  // The next Save upgrades the store to checksummed format 2.
-  ASSERT_TRUE(store.Save(restored).ok());
-  const Result<std::string> manifest =
-      GetDefaultFileSystem()->ReadFileToString(dir + "/MANIFEST");
-  ASSERT_TRUE(manifest.ok());
-  EXPECT_EQ(manifest.value().compare(0, 25, "triclust-campaign-store 2"), 0)
-      << manifest.value().substr(0, 25);
-  EXPECT_NE(manifest.value().find("triclust-crc32 "), std::string::npos);
+  // Format 1 is refused by its header too, even behind a valid trailer.
+  ClobberFile(dir + "/MANIFEST", AppendChecksumTrailer(manifest));
+  status = store.Restore(&restored);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("bad store header: "
+                                  "triclust-campaign-store 1"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(StateBytes(restored.state(0)), fresh_bytes);
+  EXPECT_EQ(restored.health(0), serving::CampaignHealth::kHealthy);
 }
 
 }  // namespace

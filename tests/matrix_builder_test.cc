@@ -243,12 +243,10 @@ TEST(MatrixBuilderTest, RefitStartsAnEmptyPendingSnapshot) {
   EXPECT_EQ(builder.num_pending(), 0u);
 }
 
-/// Feeds every tweet of `corpus` through the two streaming-fit passes.
+/// Feeds every tweet of `corpus` through the one streaming-fit pass.
 void StreamFit(const Corpus& corpus, MatrixBuilder* builder) {
   builder->FitStreamBegin();
   for (const Tweet& t : corpus.tweets()) builder->FitStreamCount(t.text);
-  builder->FitStreamAdmitBegin();
-  for (const Tweet& t : corpus.tweets()) builder->FitStreamAdmit(t.text);
   builder->FitStreamFinish();
 }
 
@@ -263,28 +261,29 @@ TEST(MatrixBuilderTest, StreamedFitMatchesInMemoryFit) {
     StreamFit(d.corpus, &streamed);
     ASSERT_EQ(streamed.vocabulary().tokens(), whole.vocabulary().tokens());
 
-    // Document frequencies, at the vectorizer the builders wrap.
+    // Document frequencies, at the vectorizer the builders wrap, with and
+    // without a document-frequency floor.
     const Tokenizer tokenizer;
     std::vector<std::vector<std::string>> docs;
     for (const Tweet& t : d.corpus.tweets()) {
       docs.push_back(tokenizer.Tokenize(t.text));
     }
-    DocumentVectorizer fit;
-    fit.Fit(docs);
-    DocumentVectorizer stream_fit;
-    stream_fit.FitStreamBegin();
-    for (const auto& doc : docs) {
-      stream_fit.FitStreamCount({doc.begin(), doc.end()});
-    }
-    stream_fit.FitStreamAdmitBegin();
-    for (const auto& doc : docs) {
-      stream_fit.FitStreamAdmit({doc.begin(), doc.end()});
-    }
-    stream_fit.FitStreamFinish();
-    ASSERT_EQ(stream_fit.vocabulary().tokens(), fit.vocabulary().tokens());
-    EXPECT_EQ(stream_fit.num_fit_documents(), fit.num_fit_documents());
-    for (size_t f = 0; f < fit.vocabulary().size(); ++f) {
-      ASSERT_EQ(stream_fit.DocumentFrequency(f), fit.DocumentFrequency(f));
+    for (const size_t min_df : {1, 2}) {
+      VectorizerOptions options;
+      options.min_document_frequency = min_df;
+      DocumentVectorizer fit(options);
+      fit.Fit(docs);
+      DocumentVectorizer stream_fit(options);
+      stream_fit.FitStreamBegin();
+      for (const auto& doc : docs) {
+        stream_fit.FitStreamCount({doc.begin(), doc.end()});
+      }
+      stream_fit.FitStreamFinish();
+      ASSERT_EQ(stream_fit.vocabulary().tokens(), fit.vocabulary().tokens());
+      EXPECT_EQ(stream_fit.num_fit_documents(), fit.num_fit_documents());
+      for (size_t f = 0; f < fit.vocabulary().size(); ++f) {
+        ASSERT_EQ(stream_fit.DocumentFrequency(f), fit.DocumentFrequency(f));
+      }
     }
 
     // Every day's snapshot, byte for byte.

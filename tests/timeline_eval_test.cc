@@ -237,7 +237,7 @@ TEST(TimelineEvaluatorTest, AttachingEvaluatorPreservesReplayFactors) {
     TimelineEvaluator evaluator(&engine);
     if (with_evaluator) evaluator.Attach(&driver);
     std::vector<TriClusterResult> results;
-    driver.set_snapshot_callback(
+    driver.AddObserver(
         [&](int, const serving::CampaignEngine::SnapshotReport& r) {
           results.push_back(r.result);
         });

@@ -9,9 +9,9 @@ links are skipped.
 Additionally guards the normative specs in docs/:
 
 * docs/FORMATS.md must keep specifying the checkpoint integrity trailer
-  (the ``triclust-crc32`` line format 2 stores depend on) — code
-  references "FORMATS.md §4" and an edit that drops the section would
-  orphan them silently.
+  (the ``triclust-crc32`` line every checksummed file carries) and keep
+  stating that it is required — code references "FORMATS.md §4" and an
+  edit that drops the section would orphan them silently.
 * docs/BENCHMARK.md must keep documenting the aggregated report schema
   (``triclust-bench-report/1``) and the baseline-update workflow —
   tools/bench_runner.py and tools/bench_gate.py implement that contract
@@ -60,6 +60,8 @@ FORMATS_REQUIRED = (
      "the checksum algorithm is no longer named"),
     ("triclust-campaign-store 2",
      "the checksummed manifest format 2 is no longer documented"),
+    ("The trailer is **required on every checksummed file**",
+     "section 4 no longer states that the trailer is mandatory"),
 )
 
 
